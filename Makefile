@@ -10,26 +10,36 @@ build:
 test:
 	dune runtest
 
-# What CI runs (.github/workflows/ci.yml): the full build, the tier-1
-# test suite, smoke iterations of the provenance, federation-faults,
-# trace-health and scheduler bench groups, an `explain` pass over the
-# scripted breach (the flight recorder must always be able to narrate
-# a denial), the federated trace / health goldens (byte-for-byte;
-# `w5 health` must judge the scripted faulty peer degraded, exit 2),
-# and the scripted soak summary golden (`w5 soak` byte-for-byte —
-# the seeded scheduler must be deterministic across processes).
+# The one list of checks, shared with CI (.github/workflows/ci.yml runs
+# `make check`, plus only its seeded-fault/soak reruns and perf-report
+# steps):
+#   - the vet gates below;
+#   - the full build and the tier-1 test suite;
+#   - one smoke iteration of every bench group, writing the per-group
+#     BENCH_*.json CI's structural perf gate reads, then one group again
+#     through `--only` to pin the filter itself;
+#   - the bench schema golden (group and test names, never values);
+#   - an `explain` pass over the scripted breach (the flight recorder
+#     must always be able to narrate a denial);
+#   - the federated trace / health goldens (byte for byte; `w5 health`
+#     must judge the scripted faulty peer degraded, exit 2);
+#   - the scripted soak summary golden (the seeded scheduler must be
+#     deterministic across processes);
+#   - two grep gates on lib/: no bare failwith/assert false (syscall-
+#     and gateway-reachable paths return typed Os_error results), and
+#     no raising lookups in lib/os and lib/analysis (use the _opt forms).
 check: vet
 	dune build @all && dune runtest
+	dune exec bench/main.exe -- --smoke --json-dir _bench_fresh
 	dune exec bench/main.exe -- --only provenance --smoke
-	dune exec bench/main.exe -- --only federation-faults --smoke
-	dune exec bench/main.exe -- --only trace-health --smoke
-	dune exec bench/main.exe -- --only scheduler --smoke
-	dune exec bench/main.exe -- --only vet-concurrency --smoke
+	dune exec bin/w5.exe -- perf schema | diff -u test/golden/bench_schema.txt -
 	dune exec bin/w5.exe -- explain > /dev/null
 	dune exec bin/w5.exe -- trace --federated | diff -u test/golden/trace_federated.txt -
 	dune exec bin/w5.exe -- health | diff -u test/golden/health.txt -
 	dune exec bin/w5.exe -- health > /dev/null; test $$? -eq 2
 	dune exec bin/w5.exe -- soak | diff -u test/golden/soak.txt -
+	! grep -rnE "failwith|assert false" lib --include="*.ml" --include="*.mli"
+	! grep -rnE "Hashtbl\.find[^_]|List\.find[ )(]|List\.hd|List\.tl" lib/os lib/analysis --include="*.ml"
 
 # Static label-flow analysis of the example platform, with the runtime
 # soundness pass; the JSON form must match the committed golden report

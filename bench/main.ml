@@ -12,7 +12,7 @@
      vs off — the DIFC overhead (P1; Flume reports 30-45% on Apache
      workloads as the shape reference);
    - label-ops               : the inner-loop lattice operations at
-     several label sizes, plus the sorted-array ablation (DESIGN §5);
+     several label sizes;
    - export-check / declassifier : perimeter and gate costs (E1/E2);
    - query-taint             : the covert-channel-safe query engine vs
      the leaky baseline at several collection sizes (E8);
@@ -107,52 +107,8 @@ let bench_e2e () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* label-ops (+ the sorted-array representation ablation)              *)
+(* label-ops                                                           *)
 (* ------------------------------------------------------------------ *)
-
-(* The alternative representation from DESIGN.md §5: plain sorted int
-   arrays. Implemented here, in the bench, so the library keeps exactly
-   one canonical representation. *)
-module Label_array = struct
-  let of_label l = Array.of_list (List.map Tag.id (Label.to_list l))
-
-  let union a b =
-    let out = Array.make (Array.length a + Array.length b) 0 in
-    let rec go i j k =
-      if i = Array.length a then begin
-        Array.blit b j out k (Array.length b - j);
-        k + Array.length b - j
-      end
-      else if j = Array.length b then begin
-        Array.blit a i out k (Array.length a - i);
-        k + Array.length a - i
-      end
-      else if a.(i) < b.(j) then begin
-        out.(k) <- a.(i);
-        go (i + 1) j (k + 1)
-      end
-      else if a.(i) > b.(j) then begin
-        out.(k) <- b.(j);
-        go i (j + 1) (k + 1)
-      end
-      else begin
-        out.(k) <- a.(i);
-        go (i + 1) (j + 1) (k + 1)
-      end
-    in
-    let n = go 0 0 0 in
-    Array.sub out 0 n
-
-  let subset a b =
-    let rec go i j =
-      if i = Array.length a then true
-      else if j = Array.length b then false
-      else if a.(i) = b.(j) then go (i + 1) (j + 1)
-      else if a.(i) > b.(j) then go i (j + 1)
-      else false
-    in
-    go 0 0
-end
 
 let label_sizes = [ 1; 8; 64 ]
 
@@ -172,18 +128,11 @@ let bench_label_ops () =
   Test.make_grouped ~name:"label-ops"
     (List.concat_map
        (fun (n, a, b, ab) ->
-         let arr_a = Label_array.of_label a
-         and arr_b = Label_array.of_label b
-         and arr_ab = Label_array.of_label ab in
          [
            Test.make ~name:(Printf.sprintf "set-union-%d" n)
              (staged (fun () -> Label.union a b));
            Test.make ~name:(Printf.sprintf "set-subset-%d" n)
              (staged (fun () -> Label.subset a ab));
-           Test.make ~name:(Printf.sprintf "array-union-%d" n)
-             (staged (fun () -> Label_array.union arr_a arr_b));
-           Test.make ~name:(Printf.sprintf "array-subset-%d" n)
-             (staged (fun () -> Label_array.subset arr_a arr_ab));
            Test.make
              ~name:(Printf.sprintf "can-flow-%d" n)
              (staged
@@ -1028,8 +977,6 @@ let () =
     "federation-sync/one-update-round" "federation-sync/steady-state-round";
   print_ratio "label size 64 vs 1 (set union)" "label-ops/set-union-64"
     "label-ops/set-union-1";
-  print_ratio "label repr: set vs sorted array (union, 64 tags)"
-    "label-ops/set-union-64" "label-ops/array-union-64";
   print_ratio "OBS metrics overhead (metered/unmetered tainting read)"
     "metrics-overhead/read-taint-metered"
     "metrics-overhead/read-taint-unmetered";

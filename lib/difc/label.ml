@@ -97,58 +97,15 @@ let for_all p l = S.for_all p l.set
 let filter p l = wrap (S.filter p l.set)
 let choose_opt l = S.choose_opt l.set
 
-(* ---- memoized judgments ---- *)
+(* ---- lattice judgments ---- *)
 
-(* Below this combined size the direct set operation beats a cache
-   probe, so tiny labels (the overwhelmingly common case on the
-   syscall path) skip memoization entirely. *)
-let small_bound = 6
-
-let subset_ref a b = S.subset a.set b.set
-let union_ref a b = wrap (S.union a.set b.set)
-let subset_cache : bool Memo.pair_cache =
-  Memo.create_pair ~name:"subset" ~capacity:4096
-
-let union_cache : t Memo.pair_cache =
-  Memo.create_pair ~name:"union" ~capacity:4096
-
-let subset a b =
-  a == b
-  || S.is_empty a.set
-  || (a.id > 0 && a.id = b.id)
-  ||
-  if cardinal a + cardinal b <= small_bound then S.subset a.set b.set
-  else
-    let ka = interned_id a and kb = interned_id b in
-    if ka = kb then true
-    else
-      match Memo.find_pair subset_cache ka kb with
-      | Some r -> r
-      | None ->
-          let r = S.subset a.set b.set in
-          Memo.add_pair subset_cache ka kb r;
-          r
+let subset a b = a == b || S.is_empty a.set || S.subset a.set b.set
 
 let union a b =
   if a == b then a
   else if S.is_empty a.set then b
   else if S.is_empty b.set then a
-  else if cardinal a + cardinal b <= small_bound then
-    wrap (S.union a.set b.set)
-  else
-    let ka = interned_id a and kb = interned_id b in
-    if ka = kb then a
-    else
-      (* union is commutative: normalize the key so (a,b) and (b,a)
-         share an entry — and an interned result, which downstream
-         judgments then hit by id. *)
-      let ka, kb = if ka <= kb then (ka, kb) else (kb, ka) in
-      match Memo.find_pair union_cache ka kb with
-      | Some r -> r
-      | None ->
-          let r = intern (wrap (S.union a.set b.set)) in
-          Memo.add_pair union_cache ka kb r;
-          r
+  else wrap (S.union a.set b.set)
 
 let pp fmt l =
   Format.fprintf fmt "{%a}"

@@ -6,11 +6,11 @@
     functional.
 
     Labels are hash-consed on demand: {!intern} maps a label to a
-    canonical representative with a process-unique content id, and
-    {!subset} / {!union} memoize their results keyed on those ids (see
-    {!Memo}). Ids are monotone and never reused, so memo entries never
-    go stale. Compare labels only with {!equal} / {!compare} — the
-    cached id makes polymorphic structural equality unreliable. *)
+    canonical representative with a process-unique content id, which
+    {!equal} and {!compare} use as a shortcut. {!subset} and {!union}
+    are the plain set operations. Compare labels only with {!equal} /
+    {!compare} — the cached id makes polymorphic structural equality
+    unreliable. *)
 
 type t
 
@@ -35,11 +35,7 @@ val interned_id : t -> int
     equal labels; distinct ids imply nothing. *)
 
 val union : t -> t -> t
-(** Lattice join: the label of data derived from two sources.
-    Memoized for non-tiny operands; the memoized result is interned. *)
-
-val union_ref : t -> t -> t
-(** Unmemoized reference implementation of {!union}, for tests. *)
+(** Lattice join: the label of data derived from two sources. *)
 
 val inter : t -> t -> t
 (** Lattice meet. *)
@@ -50,10 +46,7 @@ val diff : t -> t -> t
 
 val subset : t -> t -> bool
 (** [subset a b] is the lattice order: data labeled [a] may flow where
-    [b] is required. Memoized for non-tiny operands. *)
-
-val subset_ref : t -> t -> bool
-(** Unmemoized reference implementation of {!subset}, for tests. *)
+    [b] is required. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

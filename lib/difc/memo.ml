@@ -1,10 +1,7 @@
-(* Bounded memo caches for the label algebra, with a global stats
-   registry so the kernel can republish hit/miss counters as
-   w5_label_cache_* metrics without lib/difc depending on lib/obs.
-
-   Keys are interned-content ids (see Label.intern): ids are assigned
-   from a monotone counter and never reused, so an entry can never go
-   stale — flushing a full cache loses warmth, never soundness. *)
+(* A global stats registry for the label algebra's bounded caches (today
+   only the Label.intern pool), so the kernel can republish hit/miss
+   counters as w5_label_cache_* metrics without lib/difc depending on
+   lib/obs. *)
 
 type counters = {
   mutable hits : int;
@@ -63,86 +60,3 @@ let reset_all () =
       e.e_counters.misses <- 0;
       e.e_counters.flushes <- 0)
     !registry
-
-module Pair_key = struct
-  type t = int * int
-
-  let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-  let hash (a, b) = (a * 0x9e3779b1) lxor b
-end
-
-module Quad_key = struct
-  type t = int * int * int * int
-
-  let equal (a1, b1, c1, d1) (a2, b2, c2, d2) =
-    a1 = a2 && b1 = b2 && c1 = c2 && d1 = d2
-
-  let hash (a, b, c, d) =
-    ((((a * 0x9e3779b1) lxor b) * 0x85ebca77) lxor c) * 0xc2b2ae3d lxor d
-end
-
-module PT = Hashtbl.Make (Pair_key)
-module QT = Hashtbl.Make (Quad_key)
-
-type 'v pair_cache = { p_counters : counters; p_table : 'v PT.t; p_cap : int }
-type 'v quad_cache = { q_counters : counters; q_table : 'v QT.t; q_cap : int }
-
-let fresh_counters () = { hits = 0; misses = 0; flushes = 0 }
-
-let create_pair ~name ~capacity =
-  let c =
-    {
-      p_counters = fresh_counters ();
-      p_table = PT.create 256;
-      p_cap = max 1 capacity;
-    }
-  in
-  register ~name ~counters:c.p_counters ~capacity:c.p_cap
-    ~size:(fun () -> PT.length c.p_table)
-    ~reset:(fun () -> PT.reset c.p_table);
-  c
-
-let create_quad ~name ~capacity =
-  let c =
-    {
-      q_counters = fresh_counters ();
-      q_table = QT.create 256;
-      q_cap = max 1 capacity;
-    }
-  in
-  register ~name ~counters:c.q_counters ~capacity:c.q_cap
-    ~size:(fun () -> QT.length c.q_table)
-    ~reset:(fun () -> QT.reset c.q_table);
-  c
-
-let find_pair c a b =
-  match PT.find_opt c.p_table (a, b) with
-  | Some _ as r ->
-      c.p_counters.hits <- c.p_counters.hits + 1;
-      r
-  | None ->
-      c.p_counters.misses <- c.p_counters.misses + 1;
-      None
-
-let add_pair c a b v =
-  if PT.length c.p_table >= c.p_cap then begin
-    PT.reset c.p_table;
-    c.p_counters.flushes <- c.p_counters.flushes + 1
-  end;
-  PT.replace c.p_table (a, b) v
-
-let find_quad c a b d e =
-  match QT.find_opt c.q_table (a, b, d, e) with
-  | Some _ as r ->
-      c.q_counters.hits <- c.q_counters.hits + 1;
-      r
-  | None ->
-      c.q_counters.misses <- c.q_counters.misses + 1;
-      None
-
-let add_quad c a b d e v =
-  if QT.length c.q_table >= c.q_cap then begin
-    QT.reset c.q_table;
-    c.q_counters.flushes <- c.q_counters.flushes + 1
-  end;
-  QT.replace c.q_table (a, b, d, e) v

@@ -1,17 +1,16 @@
-(** Bounded memo caches for the label algebra.
+(** Hit/miss/flush counters for the label algebra's bounded caches.
 
-    Each cache is size-capped: when an insert would exceed the cap the
-    whole table is flushed (one counter bump, no LRU bookkeeping on
-    the hot path). Keys are interned-content ids ({!Label.intern}),
-    which are assigned from a monotone counter and never reused — so a
-    cached judgment can never go stale; a flush costs warmth, never
-    soundness.
+    The only registered cache is the label intern pool
+    ({!Label.intern}), named ["intern"]. The lattice judgments
+    ({!Label.subset}, {!Label.union}, {!Flow.join}, {!Flow.can_flow})
+    are plain set operations and keep no cache: real labels carry one
+    to three tags, where a probe costs more than the operation
+    (DESIGN §14).
 
-    Hit/miss/flush counters live in a process-global registry that
-    {!snapshots} exposes; the kernel republishes them as
-    [w5_label_cache_*] metrics. Counters and cache keys carry only
-    opaque integer ids and cache names — never tag names or user
-    bytes. *)
+    Counters live in a process-global registry that {!snapshots}
+    exposes; the kernel republishes them as [w5_label_cache_*]
+    metrics. They carry only cache names and counts — never tag names
+    or user bytes. *)
 
 type counters = {
   mutable hits : int;
@@ -33,7 +32,7 @@ val snapshots : unit -> snapshot list
 
 val reset_all : unit -> unit
 (** Flush every registered cache and zero its counters. Test hook;
-    also safe anytime (caches only memoize pure judgments). *)
+    also safe anytime (a flushed pool only re-interns on demand). *)
 
 val register :
   name:string ->
@@ -42,19 +41,4 @@ val register :
   size:(unit -> int) ->
   reset:(unit -> unit) ->
   unit
-(** Expose an externally managed cache (e.g. the label intern pool)
-    through the same registry. *)
-
-type 'v pair_cache
-(** A cache keyed by an ordered pair of interned ids. *)
-
-val create_pair : name:string -> capacity:int -> 'v pair_cache
-val find_pair : 'v pair_cache -> int -> int -> 'v option
-val add_pair : 'v pair_cache -> int -> int -> 'v -> unit
-
-type 'v quad_cache
-(** A cache keyed by four interned ids (a pair of label pairs). *)
-
-val create_quad : name:string -> capacity:int -> 'v quad_cache
-val find_quad : 'v quad_cache -> int -> int -> int -> int -> 'v option
-val add_quad : 'v quad_cache -> int -> int -> int -> int -> 'v -> unit
+(** Expose a cache (the label intern pool) through the registry. *)

@@ -166,22 +166,23 @@ let with_audit_batch k f =
       if k.k_audit_depth = 0 then flush_audit k)
     f
 
-(* The label algebra's memo caches (W5_difc.Memo) keep bare counters
-   so lib/difc needn't depend on lib/obs; republishing them as gauges
-   makes them visible in `w5 stats` / Prometheus scrapes. Cache names
-   and counts only — never tag names or user bytes. *)
+(* The label algebra's cache registry (W5_difc.Memo; today only the
+   "intern" pool) keeps bare counters so lib/difc needn't depend on
+   lib/obs; republishing them as gauges makes them visible in
+   `w5 stats` / Prometheus scrapes. Cache names and counts only —
+   never tag names or user bytes. *)
 let sync_cache_metrics k =
   let m = k.k_metrics in
   let hits = Metrics.gauge m "w5_label_cache_hits_total"
-      ~help:"Label-algebra memo cache hits by cache"
+      ~help:"Label-algebra cache hits by cache"
   and misses = Metrics.gauge m "w5_label_cache_misses_total"
-      ~help:"Label-algebra memo cache misses by cache"
+      ~help:"Label-algebra cache misses by cache"
   and flushes = Metrics.gauge m "w5_label_cache_flushes_total"
-      ~help:"Label-algebra memo cache cap flushes by cache"
+      ~help:"Label-algebra cache cap flushes by cache"
   and size = Metrics.gauge m "w5_label_cache_size"
-      ~help:"Label-algebra memo cache live entries by cache"
+      ~help:"Label-algebra cache live entries by cache"
   and capacity = Metrics.gauge m "w5_label_cache_capacity"
-      ~help:"Label-algebra memo cache entry cap by cache"
+      ~help:"Label-algebra cache entry cap by cache"
   in
   List.iter
     (fun (s : Memo.snapshot) ->

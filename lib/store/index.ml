@@ -295,9 +295,9 @@ let summary kernel ~collection =
       match e.summary_cache with
       | Some folds -> folds
       | None ->
-          (* Interning the folds keeps repeated queries on the same
-             collection on the memoized absorb-join path: same content
-             ids, so the downstream union/join probes hit. *)
+          (* The folds are interned so every query on the same
+             collection sees one canonical label, and Label.equal /
+             compare short-circuit on its content id. *)
           let secrecy =
             Label.intern
               (Hashtbl.fold

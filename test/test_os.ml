@@ -1349,7 +1349,8 @@ let test_syscall_audit_batched () =
 
 let test_cache_metrics_sync_and_canary () =
   let kernel = Kernel.create () in
-  (* a secret-named tag flows through the memoized judgments... *)
+  (* a secret-named tag flows through the judgments and the intern
+     pool... *)
   let canary = "hunter2-canary-username" in
   let tags =
     Array.init 8 (fun i ->
@@ -1358,13 +1359,14 @@ let test_cache_metrics_sync_and_canary () =
   let l1 = Label.of_list (Array.to_list (Array.sub tags 0 4)) in
   let l2 = Label.of_list (Array.to_list (Array.sub tags 4 4)) in
   ignore (Label.subset (Label.union l1 l2) (Label.union l1 l2));
+  ignore (Label.intern (Label.union l1 l2));
   ignore
     (Flow.can_flow (Flow.make ~secrecy:l1 ()) (Flow.make ~secrecy:l2 ()));
   Kernel.sync_cache_metrics kernel;
   let m = Kernel.metrics kernel in
   let hits = W5_obs.Metrics.gauge m "w5_label_cache_hits_total" in
-  check bool_c "subset cache series present" true
-    (W5_obs.Metrics.value hits ~labels:[ ("cache", "subset") ] >= 0
+  check bool_c "intern cache series present" true
+    (W5_obs.Metrics.value hits ~labels:[ ("cache", "intern") ] >= 0
     && List.exists
          (fun (s : W5_obs.Metrics.sample) ->
            s.W5_obs.Metrics.sample_name = "w5_label_cache_hits_total"
