@@ -25,6 +25,8 @@ test:
 #     must judge the scripted faulty peer degraded, exit 2);
 #   - the scripted soak summary golden (the seeded scheduler must be
 #     deterministic across processes);
+#   - the `w5 stats` golden (the telemetry dump and last trace tree of
+#     the seeded workload, byte for byte);
 #   - two grep gates on lib/: no bare failwith/assert false (syscall-
 #     and gateway-reachable paths return typed Os_error results), and
 #     no raising lookups in lib/os and lib/analysis (use the _opt forms).
@@ -38,6 +40,7 @@ check: vet
 	dune exec bin/w5.exe -- health | diff -u test/golden/health.txt -
 	dune exec bin/w5.exe -- health > /dev/null; test $$? -eq 2
 	dune exec bin/w5.exe -- soak | diff -u test/golden/soak.txt -
+	dune exec bin/w5.exe -- stats | diff -u test/golden/stats.txt -
 	! grep -rnE "failwith|assert false" lib --include="*.ml" --include="*.mli"
 	! grep -rnE "Hashtbl\.find[^_]|List\.find[ )(]|List\.hd|List\.tl" lib/os lib/analysis --include="*.ml"
 

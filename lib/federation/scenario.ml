@@ -163,7 +163,7 @@ let run () =
     mesh;
     spans;
     health_now = (fun name -> Kernel.tick (kernel_of mesh name));
-    slo = Gateway.slo_of east;
+    slo = Platform.slo east;
     slo_now = Kernel.tick (Platform.kernel east);
     round_notes;
   }

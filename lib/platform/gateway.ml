@@ -16,20 +16,6 @@ let invites_of platform =
       Hashtbl.replace invite_registries key registry;
       registry
 
-(* Per-platform SLO ledger, same keying discipline as the invite
-   registries: every handled request spends or banks error budget for
-   its route, and [w5 health] renders the ledger next to peer health. *)
-let slo_registries : (int, W5_obs.Health.Slo.t) Hashtbl.t = Hashtbl.create 8
-
-let slo_of platform =
-  let key = Principal.id (Platform.provider platform) in
-  match Hashtbl.find_opt slo_registries key with
-  | Some slo -> slo
-  | None ->
-      let slo = W5_obs.Health.Slo.create () in
-      Hashtbl.replace slo_registries key slo;
-      slo
-
 let viewer_of platform request =
   match Request.cookie request Session.cookie_name with
   | None -> None
@@ -174,7 +160,7 @@ let dispatch_app platform ~viewer ~app_id ?version request =
 
 (* ---- provider-written front-end pages ---- *)
 
-let home platform =
+let home platform _request =
   let registry = Platform.registry platform in
   let ids = App_registry.list_ids registry in
   let items =
@@ -467,13 +453,12 @@ let throttled platform ~viewer request =
         (Rate_limit.allow limiter ~key
            ~now:(Kernel.tick (Platform.kernel platform)))
 
-(* Routing resolves either to a provider front-end page (handled
-   inline — these are trusted, cheap, and never spawn a process) or to
-   an application dispatch, which the caller runs synchronously
-   ({!handler}) or schedules ({!submit}/{!conclude}). Throttling and
-   the enablement check happen here, so both paths share them. *)
+(* Routing resolves either to a provider front-end page (trusted,
+   cheap, never spawns a process; {!submit} runs it inside the
+   request's span) or to an application dispatch. Throttling and the
+   enablement check happen here, before any developer code runs. *)
 type routed =
-  | Page of Response.t
+  | Page of (Platform.t -> Request.t -> Response.t)
   | Dispatch of { app_id : string; version : string option }
 
 let not_enabled_page app_id =
@@ -488,12 +473,12 @@ let not_enabled_page app_id =
 
 let route_to_app platform request ~viewer ~app_id =
   if throttled platform ~viewer request then
-    Page (Response.too_many_requests "rate limit exceeded")
+    Page (fun _ _ -> Response.too_many_requests "rate limit exceeded")
   else
     match viewer with
     | Some account when not (Policy.app_enabled account.Account.policy app_id)
       ->
-        Page (not_enabled_page app_id)
+        Page (fun _ _ -> not_enabled_page app_id)
     | Some _ | None ->
         Dispatch { app_id; version = Request.param request "version" }
 
@@ -502,28 +487,26 @@ let route_request platform request ~viewer ~dns_route =
   | Some app_id -> route_to_app platform request ~viewer ~app_id
   | None -> (
       match request.Request.uri.Uri.segments with
-      | [] -> Page (home platform)
-      | [ "signup" ] -> Page (handle_signup platform request)
-      | [ "login" ] -> Page (handle_login platform request)
-      | [ "logout" ] -> Page (handle_logout platform request)
-      | [ "enable" ] -> Page (handle_enable platform request)
-      | [ "invite" ] -> Page (handle_invite platform request)
-      | [ "invites" ] -> Page (handle_invites_list platform request)
-      | [ "invite_accept" ] ->
-          Page (handle_invite_answer platform request ~accept:true)
-      | [ "invite_decline" ] ->
-          Page (handle_invite_answer platform request ~accept:false)
-      | [ "settings" ] -> Page (handle_settings platform request)
-      | [ "me" ] -> Page (handle_me platform request)
-      | [ "group_create" ] -> Page (handle_group_create platform request)
-      | [ "group_add" ] -> Page (handle_group_member platform request ~add:true)
-      | [ "group_remove" ] ->
-          Page (handle_group_member platform request ~add:false)
-      | [ "source" ] -> Page (handle_source platform request)
-      | [ "audit" ] -> Page (handle_audit platform request)
+      | [] -> Page home
+      | [ "signup" ] -> Page handle_signup
+      | [ "login" ] -> Page handle_login
+      | [ "logout" ] -> Page handle_logout
+      | [ "enable" ] -> Page handle_enable
+      | [ "invite" ] -> Page handle_invite
+      | [ "invites" ] -> Page handle_invites_list
+      | [ "invite_accept" ] -> Page (handle_invite_answer ~accept:true)
+      | [ "invite_decline" ] -> Page (handle_invite_answer ~accept:false)
+      | [ "settings" ] -> Page handle_settings
+      | [ "me" ] -> Page handle_me
+      | [ "group_create" ] -> Page handle_group_create
+      | [ "group_add" ] -> Page (handle_group_member ~add:true)
+      | [ "group_remove" ] -> Page (handle_group_member ~add:false)
+      | [ "source" ] -> Page handle_source
+      | [ "audit" ] -> Page handle_audit
       | "app" :: dev :: name :: _rest ->
           route_to_app platform request ~viewer ~app_id:(dev ^ "/" ^ name)
-      | _ -> Page (Response.not_found request.Request.uri.Uri.path))
+      | _ ->
+          Page (fun _ r -> Response.not_found r.Request.uri.Uri.path))
 
 (* The telemetry route label: the application id or the front-end page
    name — a closed set bounded by the registry, never a raw path (raw
@@ -549,10 +532,9 @@ let dns_route_of platform request =
       | Some Dns.Front_end | Some (Dns.Cname _) | None -> None)
   | _ -> None
 
-(* Request telemetry, shared by the synchronous handler and the
-   scheduled conclude path: counter, latency histogram, SLO ledger.
-   Route labels are a closed set (see [route_label]); [t0]/[t1] bound
-   the request on the logical clock. *)
+(* Request telemetry: counter, latency histogram, SLO ledger. Route
+   labels are a closed set (see [route_label]); [t0]/[t1] bound the
+   request on the logical clock. *)
 let record_request platform ~route ~t0 ~t1 response =
   let metrics = W5_os.Kernel.metrics (Platform.kernel platform) in
   let status = string_of_int (Response.status_code response.Response.status) in
@@ -565,36 +547,10 @@ let record_request platform ~route ~t0 ~t1 response =
        ~help:"Logical ticks consumed per request, by route")
     ~labels:[ ("route", route) ]
     (t1 - t0);
-  W5_obs.Health.Slo.observe (slo_of platform) ~route ~tick:t1
+  W5_obs.Health.Slo.observe (Platform.slo platform) ~route ~tick:t1
     ~status:(Response.status_code response.Response.status)
 
-let handler platform request =
-  let kernel = Platform.kernel platform in
-  let tracer = W5_os.Kernel.tracer kernel in
-  let viewer = viewer_of platform request in
-  let dns_route = dns_route_of platform request in
-  let route = route_label request ~dns_route in
-  let t0 = Kernel.tick kernel in
-  W5_obs.Tracer.start_span tracer ~tick:t0 ("gateway:" ^ route);
-  let response =
-    match
-      (match route_request platform request ~viewer ~dns_route with
-      | Page r -> r
-      | Dispatch { app_id; version } ->
-          dispatch_app platform ~viewer ~app_id ?version request)
-    with
-    | response -> response
-    | exception exn ->
-        W5_obs.Tracer.end_span tracer ~tick:(Kernel.tick kernel);
-        raise exn
-  in
-  let status = string_of_int (Response.status_code response.Response.status) in
-  W5_obs.Tracer.annotate tracer [ ("status", status) ];
-  W5_obs.Tracer.end_span tracer ~tick:(Kernel.tick kernel);
-  record_request platform ~route ~t0 ~t1:(Kernel.tick kernel) response;
-  response
-
-(* ---- scheduled admission: submit now, conclude after a drain ---- *)
+(* ---- the request path: submit (admission), then conclude ---- *)
 
 type pending = {
   p_route : string;
@@ -604,8 +560,32 @@ type pending = {
 }
 
 and pending_state =
-  | Done of Response.t * int  (** finished at submit time, at this tick *)
+  | Done of (Response.t * int)  (** answered at submit time, at this tick *)
   | In_flight of Proc.t
+
+(* The request's one [gateway:<route>] span, opened at its submit tick
+   around [f], which returns the response and the request's last
+   tick. Children are whatever [f] traces: a page's syscalls, or a
+   process run synchronously plus its perimeter gates and export.
+   Untraced, it allocates nothing: the span name and status field
+   would otherwise cost every request a few words. *)
+let in_request_span platform ~route ~t0 f =
+  let kernel = Platform.kernel platform in
+  let tracer = Kernel.tracer kernel in
+  if not (W5_obs.Tracer.enabled tracer) then f ()
+  else begin
+    W5_obs.Tracer.start_span tracer ~tick:t0 ("gateway:" ^ route);
+    match f () with
+    | (response, t1) as answer ->
+        W5_obs.Tracer.annotate tracer
+          [ ("status",
+             string_of_int (Response.status_code response.Response.status)) ];
+        W5_obs.Tracer.end_span tracer ~tick:t1;
+        answer
+    | exception exn ->
+        W5_obs.Tracer.end_span tracer ~tick:(Kernel.tick kernel);
+        raise exn
+  end
 
 let submit platform request =
   let kernel = Platform.kernel platform in
@@ -613,12 +593,18 @@ let submit platform request =
   let dns_route = dns_route_of platform request in
   let route = route_label request ~dns_route in
   let t0 = Kernel.tick kernel in
+  let answer page =
+    Done
+      (in_request_span platform ~route ~t0 (fun () ->
+           let response = page platform request in
+           (response, Kernel.tick kernel)))
+  in
   let state =
     match route_request platform request ~viewer ~dns_route with
-    | Page r -> Done (r, Kernel.tick kernel)
+    | Page page -> answer page
     | Dispatch { app_id; version } -> (
         match spawn_app platform ~viewer ~app_id ?version request with
-        | Error r -> Done (r, Kernel.tick kernel)
+        | Error response -> answer (fun _ _ -> response)
         | Ok proc -> In_flight proc)
   in
   { p_route = route; p_viewer = viewer; p_submit_tick = t0; p_state = state }
@@ -628,33 +614,30 @@ let in_flight pending =
   | In_flight proc -> Proc.is_alive proc
   | Done _ -> false
 
+(* A dispatched request's ticks are its process's submit-to-finish
+   ticks plus the perimeter ticks spent here: the gate ticks count
+   whether a scheduler drain or this call ran the process. *)
 let conclude platform pending =
   let kernel = Platform.kernel platform in
-  let tracer = W5_os.Kernel.tracer kernel in
   let response, t1 =
     match pending.p_state with
-    | Done (r, t) -> (r, t)
+    | Done answer -> answer
     | In_flight proc ->
-        (* normally the scheduler already drove it to completion; a
-           conclude without a drain degrades to the synchronous path *)
-        Kernel.run_proc kernel proc;
-        let t1 =
-          match proc.Proc.finished_tick with
-          | Some t -> t
-          | None -> Kernel.tick kernel
-        in
-        (conclude_app platform ~viewer:pending.p_viewer proc, t1)
+        in_request_span platform ~route:pending.p_route
+          ~t0:pending.p_submit_tick (fun () ->
+            (* without a drain the process runs here, inside the span *)
+            Kernel.run_proc kernel proc;
+            let finished =
+              Option.value proc.Proc.finished_tick ~default:(Kernel.tick kernel)
+            in
+            let perimeter_t0 = Kernel.tick kernel in
+            let response =
+              conclude_app platform ~viewer:pending.p_viewer proc
+            in
+            (response, finished + (Kernel.tick kernel - perimeter_t0)))
   in
-  (* One balanced span per request, emitted at conclusion with the
-     submit→finish bounds: slices interleave, spans must not. *)
-  if W5_obs.Tracer.enabled tracer then begin
-    W5_obs.Tracer.start_span tracer ~tick:pending.p_submit_tick
-      ~fields:
-        [ ("status",
-           string_of_int (Response.status_code response.Response.status)) ]
-      ("gateway:" ^ pending.p_route);
-    W5_obs.Tracer.end_span tracer ~tick:t1
-  end;
   record_request platform ~route:pending.p_route ~t0:pending.p_submit_tick ~t1
     response;
   response
+
+let handler platform request = conclude platform (submit platform request)

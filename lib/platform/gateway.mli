@@ -35,19 +35,16 @@
 open W5_http
 
 val handler : Platform.t -> Request.t -> Response.t
-(** The perimeter-facing server; plug directly into {!Client.make}. *)
-
-val slo_of : Platform.t -> W5_obs.Health.Slo.t
-(** This platform's per-route SLO/error-budget ledger. {!handler}
-    feeds it on every request (route label and status code only —
-    the same closed vocabulary as the request counters); [w5 health]
-    renders it. Created on first use, default window/objective. *)
+(** The perimeter-facing server; plug directly into {!Client.make}.
+    Defined as [conclude platform (submit platform request)]: the
+    synchronous path is the scheduled one with no drain in between. *)
 
 val dispatch_app :
   Platform.t -> viewer:Account.t option -> app_id:string ->
   ?version:string -> Request.t -> Response.t
-(** The app-execution path by itself, for tests and the silo-baseline
-    comparison. *)
+(** The app-execution path by itself — spawn, run, perimeter — with no
+    routing, throttling, span or request telemetry. {!Mailer} delivers
+    mail through it. *)
 
 (** {1 Scheduled admission}
 
@@ -56,11 +53,23 @@ val dispatch_app :
     spawn — without running the application, so thousands of requests
     can be in flight before a {!W5_os.Sched} drain interleaves them;
     {!conclude} then reads each process's outcome and pushes it
-    through the perimeter exactly as {!handler} would have. Provider
-    front-end pages (trusted, cheap, no process) complete at submit
-    time. Request metrics, latency (admission tick to the process's
-    finish tick), SLO spend, and one balanced trace span per request
-    are all recorded at conclusion. *)
+    through the perimeter. Provider front-end pages (trusted, cheap,
+    no process) run and complete at submit time.
+
+    Every request gets one [gateway:<route>] trace span, starting at
+    its submit tick: a page's span encloses the page's syscalls; an
+    application's span is opened by {!conclude} and encloses the
+    process (when no drain ran it), the perimeter's declassifier gates
+    and its [perimeter.export] event. Request metrics, latency and SLO
+    spend are recorded at conclusion.
+
+    {b Tick rule.} A request's [w5_gateway_request_ticks] observation
+    (and its span's extent) is [finished_tick - submit_tick] plus the
+    perimeter ticks {!conclude} spends, where a page ends at the tick
+    it finished and an application at its process's finish tick. A
+    request drained alone in one scheduler slice therefore records the
+    same ticks as through {!handler}; interleaving adds the ticks its
+    process spent waiting or preempted. *)
 
 type pending
 (** An admitted request awaiting its outcome. *)
@@ -72,6 +81,5 @@ val in_flight : pending -> bool
     exited, or killed). *)
 
 val conclude : Platform.t -> pending -> Response.t
-(** Resolve the request. If its process somehow has not run yet (no
-    drain happened), it is run synchronously first, so
-    [submit |> conclude] without a scheduler equals {!handler}. *)
+(** Resolve the request. If its process has not run yet (no drain
+    happened), it runs here first. *)

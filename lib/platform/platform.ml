@@ -14,12 +14,14 @@ type t = {
   mutable limiter : Rate_limit.t option;
   mutable dns : W5_http.Dns.t option;
   app_limits : (string, Resource.limits) Hashtbl.t;
+  slo : W5_obs.Health.Slo.t;
 }
 
 let kernel t = t.kernel
 let registry t = t.registry
 let sessions t = t.sessions
 let provider t = t.provider
+let slo t = t.slo
 let requests_served t = t.requests_served
 let count_request t = t.requests_served <- t.requests_served + 1
 let vetted_apps t = t.vetted
@@ -91,6 +93,7 @@ let create ?enforcing () =
       limiter = None;
       dns = None;
       app_limits = Hashtbl.create 8;
+      slo = W5_obs.Health.Slo.create ();
     }
   in
   let boot =

@@ -27,6 +27,13 @@ val kernel : t -> Kernel.t
 val registry : t -> App_registry.t
 val sessions : t -> W5_http.Session.t
 val provider : t -> Principal.t
+
+val slo : t -> W5_obs.Health.Slo.t
+(** This platform's per-route SLO/error-budget ledger. The gateway
+    feeds it on every request (route label and status code only — the
+    same closed vocabulary as the request counters); [w5 health]
+    renders it. Default window and objective. *)
+
 val requests_served : t -> int
 val count_request : t -> unit
 

@@ -5,7 +5,16 @@
     stops a rogue {e client} hammering the front door. One bucket per
     key (client identity), refilled in whole tokens per kernel tick.
     Provider configuration, enforced by the gateway before any
-    developer code runs. *)
+    developer code runs.
+
+    Anonymous keys are chosen by the client, so the table must stay
+    bounded: a bucket that has refilled to capacity answers exactly
+    like a missing one, and such buckets are dropped by a sweep that
+    runs whenever the table has doubled since the last sweep. Keys
+    that spent tokens within the last [capacity / refill_per_tick]
+    ticks stay. With [refill_per_tick = 0] nothing ever refills, so
+    nothing is dropped: the table keeps every key that ever spent a
+    token. [now] must never run backwards (the kernel tick doesn't). *)
 
 type t
 

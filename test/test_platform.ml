@@ -1156,18 +1156,14 @@ let suite =
 
 (* ---- gateway path equivalence ----
 
-   gateway.mli promises that [submit |> conclude] with no scheduler
-   drain in between equals [handler]. Both paths run the same
-   read-only request against one seeded society, so status, body and
-   headers must agree exactly.
-
-   Not compared: the [w5_gateway_request_ticks] observation. [handler]
-   ends a request's latency at the tick after the perimeter export,
-   while [conclude] ends it at the process's [finished_tick], so any
-   request whose export runs a declassifier gate (a friend's view) is
-   recorded with fewer ticks on the scheduled path. That is a known
-   divergence between the two request paths, not part of the promise
-   checked here. *)
+   [handler] is [conclude ∘ submit] with no drain in between. This
+   property runs the same read-only request both ways — directly, and
+   submitted, drained by the scheduler, then concluded — against one
+   seeded society. Status, body and headers must agree exactly, and
+   so must the extent of the request's [gateway:<route>] span with the
+   tracer on: the tick rule (submit-to-finish plus the perimeter ticks
+   spent at conclusion) makes a drained declassifier-gated view cost
+   the same ticks as a synchronous one. *)
 
 let equiv_society =
   lazy
@@ -1216,8 +1212,29 @@ let arb_equiv_case =
         (oneofl [ Own; Friend; Stranger ])
         (0 -- 100))
 
+let is_gateway_span (span : W5_obs.Span.t) =
+  String.starts_with ~prefix:"gateway:" span.W5_obs.Span.span_name
+
+(* Run [f] with the platform's tracer on and a clean ring; return its
+   result and the tick extent of the last [gateway:*] root it traced. *)
+let traced platform f =
+  let tracer = W5_os.Kernel.tracer (Platform.kernel platform) in
+  W5_obs.Tracer.clear tracer;
+  W5_obs.Tracer.set_enabled tracer true;
+  let result =
+    Fun.protect ~finally:(fun () -> W5_obs.Tracer.set_enabled tracer false) f
+  in
+  let extent =
+    List.filter is_gateway_span (W5_obs.Tracer.traces tracer)
+    |> List.rev
+    |> function
+    | [] -> None
+    | span :: _ -> Some (W5_obs.Span.duration span)
+  in
+  (result, extent)
+
 let prop_gateway_paths_agree =
-  QCheck.Test.make ~name:"gateway: submit |> conclude equals handler"
+  QCheck.Test.make ~name:"gateway: handler equals a drained submit and conclude"
     ~count:100 arb_equiv_case (fun (viewer, page, target, pick) ->
       let society = Lazy.force equiv_society in
       let platform = society.W5_workload.Populate.platform in
@@ -1251,14 +1268,188 @@ let prop_gateway_paths_agree =
       let request () =
         Request.make ~headers ~client:viewer Request.GET path
       in
-      let direct = Gateway.handler platform (request ()) in
-      let scheduled =
-        Gateway.conclude platform (Gateway.submit platform (request ()))
+      let direct, direct_extent =
+        traced platform (fun () -> Gateway.handler platform (request ()))
       in
-      direct.Response.status = scheduled.Response.status
-      && direct.Response.body = scheduled.Response.body
+      let drained, drained_extent =
+        traced platform (fun () ->
+            let pending = Gateway.submit platform (request ()) in
+            (* one slice: a preempted process pays a context-switch
+               tick per extra slice, which is scheduling, not the
+               request path *)
+            ignore (W5_os.Sched.run ~quantum:1_000 (Platform.kernel platform));
+            Gateway.conclude platform pending)
+      in
+      direct.Response.status = drained.Response.status
+      && direct.Response.body = drained.Response.body
       && Headers.to_list direct.Response.headers
-         = Headers.to_list scheduled.Response.headers)
+         = Headers.to_list drained.Response.headers
+      && direct_extent <> None
+      && direct_extent = drained_extent)
 
 let suite =
   suite @ [ QCheck_alcotest.to_alcotest prop_gateway_paths_agree ]
+
+(* ---- request trace shapes ---- *)
+
+let span_names (span : W5_obs.Span.t) =
+  List.map (fun (c : W5_obs.Span.t) -> c.W5_obs.Span.span_name)
+    span.W5_obs.Span.children
+
+let test_signup_trace_shape () =
+  let platform = fresh_platform () in
+  let tracer = W5_os.Kernel.tracer (Platform.kernel platform) in
+  let response, _ =
+    traced platform (fun () ->
+        Gateway.handler platform
+          (Request.make ~client:"zoe"
+             ~body:[ ("user", "zoe"); ("pass", "zoe-pw") ]
+             Request.POST "/signup"))
+  in
+  check int_c "signed up" 200 (Response.status_code response.Response.status);
+  match W5_obs.Tracer.traces tracer with
+  | [ root ] ->
+      check string_c "root" "gateway:signup" root.W5_obs.Span.span_name;
+      let children = span_names root in
+      check bool_c "mkdir child" true (List.mem "sys.fs.mkdir" children);
+      check bool_c "create child" true (List.mem "sys.fs.create" children)
+  | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
+
+let test_drained_friend_view_trace_shape () =
+  let society = Lazy.force equiv_society in
+  let platform = society.W5_workload.Populate.platform in
+  let tracer = W5_os.Kernel.tracer (Platform.kernel platform) in
+  let viewer, friend =
+    match
+      List.find_map
+        (fun u ->
+          match friends_of platform u with f :: _ -> Some (u, f) | [] -> None)
+        society.W5_workload.Populate.users
+    with
+    | Some pair -> pair
+    | None -> Alcotest.fail "society has no friendships"
+  in
+  let request =
+    Request.make ~headers:(session_headers platform viewer) ~client:viewer
+      Request.GET
+      (Uri.with_query ("/app/" ^ society.social_id) [ ("user", friend) ])
+  in
+  let response, _ =
+    traced platform (fun () ->
+        let pending = Gateway.submit platform request in
+        ignore (W5_os.Sched.run (Platform.kernel platform));
+        Gateway.conclude platform pending)
+  in
+  check int_c "friend view served" 200
+    (Response.status_code response.Response.status);
+  match List.filter is_gateway_span (W5_obs.Tracer.traces tracer) with
+  | [ root ] ->
+      let children = span_names root in
+      check bool_c "gate child" true
+        (List.exists (String.starts_with ~prefix:"gate:declass/") children);
+      check bool_c "perimeter.export child" true
+        (List.mem "perimeter.export" children)
+  | roots -> Alcotest.failf "expected one gateway root, got %d" (List.length roots)
+
+(* ---- per-platform state dies with the platform ---- *)
+
+let slo_ledger_of_dropped_platform () =
+  let platform = fresh_platform () in
+  ignore (Gateway.handler platform (Request.make ~client:"c" Request.GET "/"));
+  let ledger = Weak.create 1 in
+  Weak.set ledger 0 (Some (Platform.slo platform));
+  ledger
+
+let test_slo_ledger_collected () =
+  let ledger = Sys.opaque_identity (slo_ledger_of_dropped_platform ()) in
+  Gc.full_major ();
+  check bool_c "ledger collected" false (Weak.check ledger 0)
+
+(* ---- rate-limit eviction ---- *)
+
+(* The limiter with eviction must answer exactly like a table that
+   keeps every bucket forever. *)
+module Model_limiter = struct
+  type t = { capacity : int; refill : int; buckets : (string, int * int) Hashtbl.t }
+
+  let create ~capacity ~refill = { capacity; refill; buckets = Hashtbl.create 8 }
+
+  let refilled t ~key ~now =
+    match Hashtbl.find_opt t.buckets key with
+    | None -> (t.capacity, now)
+    | Some (tokens, last) when now > last ->
+        (min t.capacity (tokens + ((now - last) * t.refill)), now)
+    | Some bucket -> bucket
+
+  let allow t ~key ~now =
+    let tokens, last = refilled t ~key ~now in
+    let ok = tokens > 0 in
+    Hashtbl.replace t.buckets key ((if ok then tokens - 1 else tokens), last);
+    ok
+
+  let remaining t ~key ~now = fst (refilled t ~key ~now)
+end
+
+let prop_rate_limit_matches_model =
+  QCheck.Test.make ~name:"rate limit: eviction is invisible" ~count:200
+    QCheck.(
+      triple (int_range 0 4) (int_range 0 3)
+        (list_of_size (Gen.int_range 0 400)
+           (triple bool (int_range 0 60) (int_range 0 2))))
+    (fun (capacity, refill, ops) ->
+      let limiter = Rate_limit.create ~capacity ~refill_per_tick:refill () in
+      let model = Model_limiter.create ~capacity ~refill in
+      let now = ref 0 in
+      List.for_all
+        (fun (take, key, dt) ->
+          now := !now + dt;
+          let key = "k" ^ string_of_int key and now = !now in
+          if take then
+            Rate_limit.allow limiter ~key ~now
+            = Model_limiter.allow model ~key ~now
+          else
+            Rate_limit.remaining limiter ~key ~now
+            = Model_limiter.remaining model ~key ~now)
+        ops)
+
+(* Distinct anonymous client names are attacker-chosen keys: ten times
+   as many of them must not grow the limiter's live heap. *)
+let limiter_words_after ~clients =
+  let platform = fresh_platform () in
+  let dev = Principal.make Principal.Developer "acme" in
+  ignore
+    (ok_s
+       (App_registry.publish (Platform.registry platform) ~dev ~name:"echo"
+          ~version:"1" dummy_handler));
+  let limiter = Rate_limit.create () in
+  Platform.set_rate_limit platform (Some limiter);
+  for i = 1 to clients do
+    let response =
+      Gateway.handler platform
+        (Request.make ~client:(string_of_int i) Request.GET "/app/acme/echo")
+    in
+    if Response.status_code response.Response.status <> 200 then
+      Alcotest.failf "request %d: status %d" i
+        (Response.status_code response.Response.status)
+  done;
+  Gc.full_major ();
+  Obj.reachable_words (Obj.repr limiter)
+
+let test_rate_limit_bounded () =
+  let small = limiter_words_after ~clients:10_000 in
+  let large = limiter_words_after ~clients:100_000 in
+  if large > 2 * small then
+    Alcotest.failf "limiter grew from %d to %d words" small large
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "signup trace shape" `Quick test_signup_trace_shape;
+      Alcotest.test_case "drained friend view trace shape" `Quick
+        test_drained_friend_view_trace_shape;
+      Alcotest.test_case "slo ledger collected with platform" `Quick
+        test_slo_ledger_collected;
+      QCheck_alcotest.to_alcotest prop_rate_limit_matches_model;
+      Alcotest.test_case "rate limit bounded under distinct clients" `Quick
+        test_rate_limit_bounded;
+    ]

@@ -371,7 +371,7 @@ let test_scheduled_soak_mid_run_faults ~seed () =
   (* throttling is the user's problem, not an availability breach *)
   let kernel = Platform.kernel platform in
   check bool_c "SLO not breached by throttling" false
-    (W5_obs.Health.Slo.breached (Gateway.slo_of platform)
+    (W5_obs.Health.Slo.breached (Platform.slo platform)
        ~now:(W5_os.Kernel.tick kernel));
   check int_c "no leaks under faults" 0 s.Soak.s_canary_leaks;
   check int_c "no unlabeled copies under faults" 0 s.Soak.s_unlabeled_canaries;
@@ -466,7 +466,7 @@ let test_scheduled_quota_kill ~seed () =
          | _ -> false)
        entries);
   let now = W5_os.Kernel.tick (Platform.kernel platform) in
-  let slo = Gateway.slo_of platform in
+  let slo = Platform.slo platform in
   check bool_c "429 does not breach the SLO" false
     (W5_obs.Health.Slo.breached slo ~now);
   check bool_c "slo saw the traffic" true
