@@ -27,6 +27,9 @@ test:
 #     deterministic across processes);
 #   - the `w5 stats` golden (the telemetry dump and last trace tree of
 #     the seeded workload, byte for byte);
+#   - the end-to-end benchmark's self-test (every perfbench workload
+#     twice with one seed, in separate processes: the deterministic
+#     per-operation counts and status mixes must agree);
 #   - two grep gates on lib/: no bare failwith/assert false (syscall-
 #     and gateway-reachable paths return typed Os_error results), and
 #     no raising lookups in lib/os and lib/analysis (use the _opt forms).
@@ -41,6 +44,7 @@ check: vet
 	dune exec bin/w5.exe -- health > /dev/null; test $$? -eq 2
 	dune exec bin/w5.exe -- soak | diff -u test/golden/soak.txt -
 	dune exec bin/w5.exe -- stats | diff -u test/golden/stats.txt -
+	python3 perfbench/run.py --self-test
 	! grep -rnE "failwith|assert false" lib --include="*.ml" --include="*.mli"
 	! grep -rnE "Hashtbl\.find[^_]|List\.find[ )(]|List\.hd|List\.tl" lib/os lib/analysis --include="*.ml"
 

@@ -24,12 +24,38 @@ val text : string -> string
 val link : href:string -> string -> string
 val ul : string list -> string
 
-val contains_script : string -> bool
-(** Detects [<script] tags, [on*=] event-handler attributes and
-    [javascript:] URLs, case-insensitively. *)
+val sanitize : string -> string
+(** The perimeter script filter: one pass over the markup, tokenized
+    the way a browser tokenizes it, keeping only an allowlist.
 
-val strip_scripts : string -> string
-(** Remove everything {!contains_script} detects: [<script>…</script>]
-    elements (and any unterminated [<script] tail), inline event
-    handler attributes, and [javascript:] URL schemes. The result
-    always satisfies [not (contains_script (strip_scripts html))]. *)
+    Dropped, each as a whole token:
+    - [script], [style], [iframe], [object], [applet], [svg], [math],
+      [template], [noscript], [noembed], [noframes], [xmp], [textarea]
+      and [plaintext] elements, together with their content up to the
+      matching end tag (or to the end of the input);
+    - the tags of every other element outside the allowlist ([embed],
+      [form], [meta], [base], [link], …); their content stays and is
+      filtered in turn;
+    - every attribute outside the allowlist ([class], [id], [title],
+      [lang], [dir], [alt], [width], [height], [colspan], [rowspan],
+      [datetime], [href], [src], [cite]), so all [on*] handlers
+      whatever whitespace precedes their '=', [style] and [srcdoc];
+    - [href], [src] and [cite] values whose scheme is not http, https
+      or mailto, read after decoding character references and removing
+      whitespace and control characters anywhere in the value
+      ("java&#x09;script&#58;" reads as "javascript:"); a value with no
+      ':' before its first '/', '?' or '#' is relative and kept;
+    - comments and [<!doctype …>] declarations that contain a '<',
+      [<?…>], [<!…>] and stray [</…>] markup, and a '<' that starts no
+      markup (kept, it could join the text around a dropped range into
+      a new tag);
+    - [title] text containing a '<';
+    - an unterminated tag outside the allowlist, to the end of the
+      input.
+
+    The result is the input minus the dropped byte ranges. When nothing
+    is dropped the input string itself is returned, uncopied
+    ([sanitize s == s]): every page [Html] and the shipped apps build
+    takes this path. Since whole tokens go, what is left tokenizes the
+    same way again, so [sanitize (sanitize s) = sanitize s]. The scan
+    allocates nothing per byte. *)

@@ -103,11 +103,16 @@ let secret_open = "<span class=\"w5-secret\">"
 let secret_close = "</span><!--/w5-secret-->"
 let secret_span content = secret_open ^ content ^ secret_close
 
+(* [needle] sits at [haystack.[i]], compared in place. *)
+let rec matches_at haystack i needle k =
+  k = String.length needle
+  || (haystack.[i + k] = needle.[k] && matches_at haystack i needle (k + 1))
+
 let find_sub haystack needle from =
   let hn = String.length haystack and nn = String.length needle in
   let rec scan i =
     if i + nn > hn then None
-    else if String.sub haystack i nn = needle then Some i
+    else if matches_at haystack i needle 0 then Some i
     else scan (i + 1)
   in
   scan from

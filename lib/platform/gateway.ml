@@ -129,7 +129,7 @@ let conclude_app platform ~viewer proc =
   if Kernel.process_count kernel > 512 then ignore (Kernel.reap kernel);
   match (proc.Proc.state, proc.Proc.response) with
   | Proc.Killed reason, _ ->
-      if String.length reason >= 5 && String.sub reason 0 5 = "quota" then
+      if String.starts_with ~prefix:"quota" reason then
         Response.too_many_requests ("application killed: " ^ reason)
       else
         (* Data-free error: the developer reads /audit instead
@@ -148,7 +148,7 @@ let conclude_app platform ~viewer proc =
             | Some (a : Account.t) -> Policy.allow_javascript a.Account.policy
             | None -> false
           in
-          let out = if allow_js then out else Html.strip_scripts out in
+          let out = if allow_js then out else Html.sanitize out in
           Response.html out)
 
 let dispatch_app platform ~viewer ~app_id ?version request =
@@ -427,9 +427,10 @@ let handle_audit platform request =
     | Some needle ->
         let contains hay =
           let hn = String.length hay and nn = String.length needle in
-          let rec scan i =
-            i + nn <= hn && (String.sub hay i nn = needle || scan (i + 1))
+          let rec matches_at i k =
+            k = nn || (hay.[i + k] = needle.[k] && matches_at i (k + 1))
           in
+          let rec scan i = i + nn <= hn && (matches_at i 0 || scan (i + 1)) in
           nn = 0 || scan 0
         in
         List.filter contains lines

@@ -1,6 +1,6 @@
 (* Tests for the HTTP front-end model: URIs, headers/cookies,
    requests/responses, sessions, the simulated client, and the
-   script-stripping perimeter filter (experiment E9). *)
+   perimeter script sanitizer (experiment E9). *)
 
 open W5_http
 
@@ -162,41 +162,389 @@ let test_html_escape () =
   check bool_c "page is well formed" true
     (Html.page ~title:"t" "body" <> "")
 
-let test_contains_script () =
-  check bool_c "script tag" true (Html.contains_script "<SCRIPT>x</script>");
-  check bool_c "handler" true (Html.contains_script "<img onerror=alert(1)>");
-  check bool_c "spaced handler" true (Html.contains_script "<a onclick = \"x\">");
-  check bool_c "javascript url" true (Html.contains_script "<a href=javascript:x>");
-  check bool_c "clean" false (Html.contains_script "<b>only bold</b>");
-  check bool_c "word containing on" false (Html.contains_script "ongoing = fine? no tag");
-  (* 'ongoing' does not match because there is no '=' right after the letters *)
-  check bool_c "online text" false (Html.contains_script "we are online today")
+(* An independent judge of sanitizer output, sharing no code with
+   [Html.sanitize]: a plain reading of the markup into tags and
+   attributes, then every attribute value has its character references
+   decoded, whitespace and control characters removed and case folded
+   before its scheme is read. Script-capable means a script-capable
+   element, an event handler, a [style] or [srcdoc] attribute, or a
+   URL-bearing value whose scheme is not http, https or mailto. *)
+module Oracle = struct
+  let script_elements =
+    [
+      "script"; "style"; "iframe"; "frame"; "frameset"; "object"; "embed";
+      "applet"; "svg"; "math"; "base"; "link"; "meta"; "form"; "input";
+      "button"; "template"; "noscript"; "xmp"; "plaintext"; "textarea";
+      "bgsound";
+    ]
 
-let test_strip_scripts () =
-  check string_c "script removed" "ab"
-    (Html.strip_scripts "a<script>evil()</script>b");
-  check string_c "unterminated" "a" (Html.strip_scripts "a<script>evil(");
-  check string_c "handler removed" "<img >"
-    (Html.strip_scripts "<img onerror=\"alert(1)\">");
-  check string_c "js url neutered" "<a href=x>" (Html.strip_scripts "<a href=javascript:x>");
-  check string_c "case insensitive" "" (Html.strip_scripts "<ScRiPt>x</sCrIpT>");
-  check string_c "clean unchanged" "<b>hello</b>" (Html.strip_scripts "<b>hello</b>")
+  (* attributes a browser never reads as a URL *)
+  let text_attributes = [ "title"; "alt"; "class"; "id"; "lang"; "dir" ]
 
-let prop_strip_scripts_is_sound =
-  let arb =
-    QCheck.make ~print:(fun s -> s)
-      QCheck.Gen.(
-        map (String.concat "")
-          (list_size (0 -- 12)
-             (oneofl
-                [
-                  "<script>"; "</script>"; "<scr"; "ipt>"; "onload="; "on";
-                  "load="; "'x'"; "\"y\""; "javascript:"; "java"; "script:";
-                  "<b>safe</b>"; "hello "; "<img src=p>"; "="; " ";
-                ])))
+  let named_references =
+    [
+      ("colon", ":"); ("Tab", "\t"); ("NewLine", "\n"); ("sol", "/");
+      ("quest", "?"); ("num", "#"); ("lpar", "("); ("rpar", ")");
+      ("quot", "\""); ("apos", "'"); ("amp", "&"); ("lt", "<"); ("gt", ">");
+      ("excl", "!"); ("period", "."); ("comma", ","); ("semi", ";");
+      ("equals", "="); ("nbsp", "\xc2\xa0");
+    ]
+
+  let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\x0c'
+  let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+
+  let span s i stop =
+    let n = String.length s in
+    let rec go j = if j < n && not (stop s.[j]) then go (j + 1) else j in
+    go i
+
+  (* Character references as a browser decodes them in an attribute. *)
+  let decode v =
+    let n = String.length v in
+    let b = Buffer.create n in
+    let rec go i =
+      if i >= n then ()
+      else if v.[i] <> '&' then (Buffer.add_char b v.[i]; go (i + 1))
+      else if i + 1 < n && v.[i + 1] = '#' then begin
+        let hex = i + 2 < n && (v.[i + 2] = 'x' || v.[i + 2] = 'X') in
+        let start = if hex then i + 3 else i + 2 in
+        let digit c =
+          match c with
+          | '0' .. '9' -> Some (Char.code c - 48)
+          | 'a' .. 'f' when hex -> Some (Char.code c - 87)
+          | 'A' .. 'F' when hex -> Some (Char.code c - 55)
+          | _ -> None
+        in
+        let rec number j acc =
+          match if j < n then digit v.[j] else None with
+          | Some d -> number (j + 1) (min 0x110000 ((acc * if hex then 16 else 10) + d))
+          | None -> (j, acc)
+        in
+        let stop, code = number start 0 in
+        if stop = start then (Buffer.add_char b '&'; go (i + 1))
+        else begin
+          if code > 0 && code < 128 then Buffer.add_char b (Char.chr code)
+          else Buffer.add_string b "\xef\xbf\xbd";
+          go (if stop < n && v.[stop] = ';' then stop + 1 else stop)
+        end
+      end
+      else
+        match
+          List.find_opt
+            (fun (name, _) ->
+              let r = "&" ^ name ^ ";" in
+              i + String.length r <= n && String.sub v i (String.length r) = r)
+            named_references
+        with
+        | Some (name, text) ->
+            Buffer.add_string b text;
+            go (i + String.length name + 2)
+        | None -> Buffer.add_char b '&'; go (i + 1)
+    in
+    go 0;
+    Buffer.contents b
+
+  let normalize v =
+    decode v
+    |> String.to_seq
+    |> Seq.filter (fun c -> c > ' ' && c <> '\x7f')
+    |> String.of_seq |> String.lowercase_ascii
+
+  let scheme_allowed v =
+    let v = normalize v in
+    let first_of chars =
+      List.fold_left
+        (fun acc c ->
+          match String.index_opt v c with Some i -> min acc i | None -> acc)
+        (String.length v) chars
+    in
+    let colon = first_of [ ':' ] in
+    colon >= first_of [ '/'; '?'; '#' ]
+    || List.mem (String.sub v 0 colon) [ "http"; "https"; "mailto" ]
+
+  (* Tags as (name, [attribute name, value]), lowercased names. *)
+  let tags s =
+    let n = String.length s in
+    let rec attrs i acc =
+      let i = span s i (fun c -> not (is_ws c || c = '/')) in
+      if i >= n || s.[i] = '>' then (i + 1, List.rev acc)
+      else
+        let e = span s (i + 1) (fun c -> is_ws c || c = '/' || c = '>' || c = '=') in
+        let name = String.lowercase_ascii (String.sub s i (e - i)) in
+        let eq = span s e (fun c -> not (is_ws c)) in
+        if eq < n && s.[eq] = '=' then
+          let v = span s (eq + 1) (fun c -> not (is_ws c)) in
+          if v < n && (s.[v] = '"' || s.[v] = '\'') then
+            let q = s.[v] in
+            let close = span s (v + 1) (fun c -> c = q) in
+            attrs (close + 1)
+              ((name, Some (String.sub s (v + 1) (min n close - v - 1))) :: acc)
+          else
+            let ve = span s v (fun c -> is_ws c || c = '>') in
+            attrs ve ((name, Some (String.sub s v (ve - v))) :: acc)
+        else attrs e ((name, None) :: acc)
+    in
+    let rec scan i acc =
+      match String.index_from_opt s i '<' with
+      | None -> List.rev acc
+      | Some lt ->
+          let start =
+            if lt + 1 < n && is_alpha s.[lt + 1] then Some (lt + 1)
+            else if lt + 2 < n && s.[lt + 1] = '/' && is_alpha s.[lt + 2] then
+              Some (lt + 2)
+            else None
+          in
+          (match start with
+          | None -> if lt + 1 >= n then List.rev acc else scan (lt + 1) acc
+          | Some ns ->
+              let ne = span s ns (fun c -> is_ws c || c = '/' || c = '>') in
+              let next, a = attrs ne [] in
+              let tag = (String.lowercase_ascii (String.sub s ns (ne - ns)), a) in
+              if next >= n then List.rev (tag :: acc) else scan next (tag :: acc))
+    in
+    scan 0 []
+
+  let attribute_ok (name, value) =
+    (not (String.starts_with ~prefix:"on" name))
+    && name <> "style" && name <> "srcdoc"
+    && (List.mem name text_attributes
+       || match value with None -> true | Some v -> scheme_allowed v)
+
+  let script_free s =
+    List.for_all
+      (fun (name, attributes) ->
+        (not (List.mem name script_elements))
+        && List.for_all attribute_ok attributes)
+      (tags s)
+end
+
+let test_oracle_judges () =
+  List.iter
+    (fun (html, expected) ->
+      check bool_c ("oracle on " ^ String.escaped html) expected
+        (Oracle.script_free html))
+    [
+      ("<b>only bold</b>", true);
+      ("ongoing = fine? no tag", true);
+      ("<p>&lt;script&gt;alert(1)&lt;/script&gt;</p>", true);
+      ("<a href=\"/app/core/social?user=a\">a</a>", true);
+      ("<a title=\"javascript:x\">a</a>", true);
+      ("<SCRIPT>x</script>", false);
+      ("<img onerror=alert(1)>", false);
+      ("<a onclick = \"x\">", false);
+      ("<a href=javascript:x>", false);
+      ("<a href=\"java&#x09;script&colon;x\">", false);
+      ("<div style=\"color:red\">", false);
+      ("<a href=\" data:text/html,x\">", false);
+    ]
+
+let test_sanitize () =
+  let same name html =
+    check bool_c (name ^ " (same string)") true (Html.sanitize html == html)
   in
-  QCheck.Test.make ~name:"strip_scripts output never contains script" ~count:500
-    arb (fun html -> not (Html.contains_script (Html.strip_scripts html)))
+  same "clean" "<b>hello</b>";
+  same "word containing on" "ongoing = fine? no tag";
+  same "online text" "we are online today";
+  same "escaped script text" "<p>&lt;script&gt;x&lt;/script&gt;</p>";
+  same "page" (Html.page ~title:"t" (Html.link ~href:"/app/core/blog?id=1&x=2" "x"));
+  same "allowed schemes"
+    "<a href=\"https://a.example/\">a</a><a href='mailto:u@h'>m</a>\
+     <img src=http://i.example/p alt=\"p: q\">";
+  same "scheme after whitespace" "<a href=\" https://a.example/\">a</a>";
+  same "marked span"
+    "<span class=\"w5-secret\">t</span><!--/w5-secret-->";
+  let strips name expected html =
+    check string_c name expected (Html.sanitize html)
+  in
+  strips "script removed" "ab" "a<script>evil()</script>b";
+  strips "unterminated script" "a" "a<script>evil(";
+  strips "case insensitive" "" "<ScRiPt>x</sCrIpT>";
+  strips "handler removed" "<img>" "<img onerror=\"alert(1)\">";
+  strips "spaced handler" "<a>x</a>" "<a onclick = \"x\">x</a>";
+  strips "tab before =" "<img src=p>" "<img src=p onerror\t=alert(1)>";
+  strips "js url dropped" "<a>" "<a href=javascript:x>";
+  strips "entity colon" "<a>x</a>" "<a href=\"javascript&#58;x\">x</a>";
+  strips "kept attributes stay" "<p class=c title=\"t\">"
+    "<p class=c onclick=x title=\"t\" style=\"x\">";
+  strips "unknown tag, content kept" "bold" "<font color=red>bold</font>";
+  strips "iframe with content" "ab" "a<iframe srcdoc=x>z</iframe>b";
+  strips "lone <" "1  2" "1 < 2";
+  strips "no juxtaposition" "script>" "<<script>x</script>script>";
+  strips "split tag name" "ipt>" "<scr<script>ipt>";
+  strips "comment holding markup" "ab" "a<!--<script>x</script>-->b";
+  strips "title text holding markup" "<title></title>"
+    "<title><script>x</script></title>";
+  strips "end tag attributes" "</a>" "</a onclick=x>"
+
+(* The adversarial corpus: [test/xss_corpus.txt], one vector per line
+   as "<id> <vector>", with \t, \n, \r, \0, \\ and \xHH escapes. *)
+let unescape line =
+  let b = Buffer.create (String.length line) in
+  let n = String.length line in
+  let rec go i =
+    if i >= n then ()
+    else if line.[i] = '\\' && i + 1 < n then
+      match line.[i + 1] with
+      | 't' -> Buffer.add_char b '\t'; go (i + 2)
+      | 'n' -> Buffer.add_char b '\n'; go (i + 2)
+      | 'r' -> Buffer.add_char b '\r'; go (i + 2)
+      | '0' -> Buffer.add_char b '\000'; go (i + 2)
+      | 'x' when i + 3 < n ->
+          Buffer.add_char b (Char.chr (int_of_string ("0x" ^ String.sub line (i + 2) 2)));
+          go (i + 4)
+      | c -> Buffer.add_char b c; go (i + 2)
+    else (Buffer.add_char b line.[i]; go (i + 1))
+  in
+  go 0;
+  Buffer.contents b
+
+let xss_corpus =
+  lazy
+    (let path =
+       List.find Sys.file_exists [ "xss_corpus.txt"; "test/xss_corpus.txt" ]
+     in
+     In_channel.with_open_text path In_channel.input_all
+     |> String.split_on_char '\n'
+     |> List.filter_map (fun line ->
+            if line = "" || line.[0] = '#' then None
+            else
+              match String.index_opt line ' ' with
+              | None -> None
+              | Some i ->
+                  Some
+                    ( String.sub line 0 i,
+                      unescape (String.sub line (i + 1) (String.length line - i - 1)) )))
+
+let test_adversarial_corpus () =
+  let corpus = Lazy.force xss_corpus in
+  check bool_c "corpus loaded" true (List.length corpus >= 80);
+  let failures =
+    List.concat_map
+      (fun (id, vector) ->
+        let out = Html.sanitize vector in
+        List.filter_map
+          (fun (ok, what) -> if ok then None else Some (id ^ ": " ^ what))
+          [
+            (* the oracle sees through every vector not marked inert *)
+            ( String.ends_with ~suffix:"-inert" id
+              || not (Oracle.script_free vector),
+              "oracle misses the raw vector" );
+            ( Oracle.script_free out,
+              "sanitized output holds script: " ^ String.escaped out );
+            (Html.sanitize out = out, "not idempotent");
+          ])
+      corpus
+  in
+  check (Alcotest.list string_c) "no failures" [] failures;
+  let probes =
+    List.filter (fun (id, _) -> String.starts_with ~prefix:"bypass-" id) corpus
+  in
+  check int_c "all eight bypass probes present" 8 (List.length probes)
+
+let html_fragments =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      map (String.concat "")
+        (list_size (0 -- 16)
+           (oneofl
+              [
+                "<script>"; "</script>"; "<scr"; "ipt>"; "onload="; "on";
+                "load="; "'x'"; "\"y\""; "javascript:"; "java"; "script:";
+                "<b>safe</b>"; "hello "; "<img src=p>"; "="; " "; "\t"; "\n";
+                "&#58;"; "&#x3A;"; "&colon;"; "&#x09;"; "&Tab;"; "&#0000106";
+                "<a href="; "<img src="; "<iframe "; "srcdoc="; "data:";
+                "vbscript:"; "style="; "<div "; "<object data="; "&lt;script&gt;";
+                "<"; ">"; "/"; "<!--"; "-->"; "<title>"; "</title>";
+                "http://x"; "&"; "#"; "<!doctype html>";
+              ])))
+
+let prop_sanitize_idempotent =
+  QCheck.Test.make ~name:"sanitize is idempotent" ~count:1000 html_fragments
+    (fun html ->
+      let once = Html.sanitize html in
+      Html.sanitize once = once)
+
+let prop_sanitize_sound =
+  QCheck.Test.make ~name:"sanitize output passes oracle" ~count:1000
+    html_fragments (fun html -> Oracle.script_free (Html.sanitize html))
+
+(* The benign corpus: every page the shipped apps render, as own and
+   friend views, plus the provider pages, collected through the gateway
+   from a seeded society. Each must come back as the very same string:
+   unchanged bytes and no copy. *)
+let test_benign_corpus_zero_copy () =
+  let open W5_platform in
+  let society = W5_workload.Populate.build_showcase () in
+  let platform = society.W5_workload.Populate.platform in
+  let users = society.W5_workload.Populate.users in
+  let login = W5_workload.Populate.login society in
+  List.iteri
+    (fun i user ->
+      (match Platform.enable_app platform ~user ~app:"core/calendar" with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      let account = Platform.account_exn platform user in
+      Policy.delegate_write account.Account.policy "core/calendar";
+      ignore
+        (Client.post (login user) "/app/core/calendar"
+           ~form:
+             [
+               ("action", "add"); ("id", "e1"); ("title", "meet <" ^ user ^ ">");
+               ("day", string_of_int (i mod 7)); ("start", "9"); ("len", "1");
+             ]))
+    users;
+  let bodies = ref [] in
+  List.iter
+    (fun viewer ->
+      let client = login viewer in
+      let get path params =
+        let r = Client.get client path ~params in
+        if Response.status_code r.Response.status = 200 then
+          bodies := r.Response.body :: !bodies
+      in
+      List.iter
+        (fun owner ->
+          ignore
+            (Client.post client "/app/core/blog"
+               ~form:
+                 [
+                   ("action", "comment"); ("user", owner); ("id", "b00");
+                   ("text", "nice & <b>bold</b>");
+                 ]);
+          get "/app/core/social" [ ("user", owner) ];
+          get "/app/core/photos" [ ("user", owner) ];
+          get "/app/core/photos" [ ("action", "view"); ("user", owner); ("id", "p00") ];
+          get "/app/core/blog" [ ("user", owner) ];
+          get "/app/core/blog" [ ("user", owner); ("id", "b00") ];
+          get "/app/core/calendar" [ ("user", owner) ])
+        users;
+      List.iter
+        (fun (path, params) -> get path params)
+        [
+          ("/", []); ("/me", []); ("/settings", []); ("/invites", []);
+          ("/audit", []); ("/source", [ ("app", "core/social") ]);
+        ])
+    users;
+  let seen fragment =
+    List.exists
+      (fun body ->
+        let n = String.length fragment in
+        let rec at i =
+          i + n <= String.length body
+          && (String.sub body i n = fragment || at (i + 1))
+        in
+        at 0)
+      !bodies
+  in
+  check bool_c "many pages" true (List.length !bodies >= 150);
+  List.iter
+    (fun fragment -> check bool_c ("covers " ^ fragment) true (seen fragment))
+    [ "<!--/w5-secret-->"; "<div class=\"photo\">"; "<aside>"; "<article>" ];
+  List.iter
+    (fun body ->
+      if not (Html.sanitize body == body) then
+        Alcotest.failf "benign page changed or copied: %s" (String.escaped body))
+    !bodies
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -220,10 +568,15 @@ let suite =
     Alcotest.test_case "client redirect loop bounded" `Quick
       test_client_redirect_loop_bounded;
     Alcotest.test_case "html escape" `Quick test_html_escape;
-    Alcotest.test_case "contains_script" `Quick test_contains_script;
-    Alcotest.test_case "strip_scripts" `Quick test_strip_scripts;
+    Alcotest.test_case "oracle judges" `Quick test_oracle_judges;
+    Alcotest.test_case "sanitize" `Quick test_sanitize;
+    Alcotest.test_case "sanitize adversarial corpus" `Quick
+      test_adversarial_corpus;
+    Alcotest.test_case "sanitize benign pages zero-copy" `Quick
+      test_benign_corpus_zero_copy;
   ]
-  @ qsuite [ prop_uri_query_roundtrip; prop_strip_scripts_is_sound ]
+  @ qsuite
+      [ prop_uri_query_roundtrip; prop_sanitize_idempotent; prop_sanitize_sound ]
 
 (* ---- dns ---- *)
 
@@ -381,6 +734,6 @@ let prop_escape_is_inert =
       let out = Html.escape s in
       String.for_all (fun c -> c <> '<' && c <> '>' && c <> '"' && c <> '\'') out
       (* '&' survives only as part of an entity we generated *)
-      && not (Html.contains_script ("<div>" ^ out ^ "</div>")))
+      && Oracle.script_free ("<div>" ^ out ^ "</div>"))
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_escape_is_inert ]
