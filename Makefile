@@ -30,9 +30,13 @@ test:
 #   - the end-to-end benchmark's self-test (every perfbench workload
 #     twice with one seed, in separate processes: the deterministic
 #     per-operation counts and status mixes must agree);
-#   - two grep gates on lib/: no bare failwith/assert false (syscall-
-#     and gateway-reachable paths return typed Os_error results), and
-#     no raising lookups in lib/os and lib/analysis (use the _opt forms).
+#   - grep gates on lib/: no bare failwith/assert false (syscall-
+#     and gateway-reachable paths return typed Os_error results), no
+#     raising lookups in lib/os and lib/analysis (use the _opt forms),
+#     and no process-global table or ref outside lib/difc: a top-level
+#     `let x = Hashtbl.create ...` / `let x = ref ...`, on one line or
+#     with the right-hand side on the next (per-platform state goes in
+#     a Kernel.Local slot, which is freed with its kernel).
 check: vet
 	dune build @all && dune runtest
 	dune exec bench/main.exe -- --smoke --json-dir _bench_fresh
@@ -47,6 +51,8 @@ check: vet
 	python3 perfbench/run.py --self-test
 	! grep -rnE "failwith|assert false" lib --include="*.ml" --include="*.mli"
 	! grep -rnE "Hashtbl\.find[^_]|List\.find[ )(]|List\.hd|List\.tl" lib/os lib/analysis --include="*.ml"
+	! grep -rnE "^let [a-z_][A-Za-z0-9_']*( *:[^=]*)? *= *(Hashtbl\.create|ref)\b" lib --include="*.ml" --exclude-dir=difc
+	! grep -rnE -A1 "^let [a-z_][A-Za-z0-9_']*( *:[^=]*)? *=$$" lib --include="*.ml" --exclude-dir=difc | grep -E "^[^ ]+-[0-9]+- +(Hashtbl\.create|ref)\b"
 
 # Static label-flow analysis of the example platform, with the runtime
 # soundness pass; the JSON form must match the committed golden report

@@ -69,7 +69,7 @@ let () =
   let r = Client.get anac "/app/core/messages" ~params:[ ("action", "inbox") ] in
   step "ben messages ana; ana's inbox: HTTP %d (%s)"
     (Response.status_code r.Response.status)
-    (if Client.saw anac "ropes packed" then "message readable" else "hidden");
+    (if Page.shows r "ropes packed" then "message readable" else "hidden");
 
   print_endline "\n=== calendar: busy to friends, details to no one ===";
   ignore
@@ -89,8 +89,8 @@ let () =
   in
   step "ben sees ana's saturday: HTTP %d, slot visible %b, title hidden %b"
     (Response.status_code r.Response.status)
-    (Client.saw benc "04:00-12:00")
-    (not (Client.saw benc "SECRET summit bid"));
+    (Page.shows r "04:00-12:00")
+    (not (Page.shows r "SECRET summit bid"));
 
   print_endline "\n=== polls: tallies out, ballots never ===";
   List.iter

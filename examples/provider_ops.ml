@@ -80,5 +80,5 @@ let () =
   let r = Client.get client "/app/core/social" ~params:[ ("user", victim) ] in
   step "%s's profile after restore: HTTP %d, intact %b" victim
     (Response.status_code r.Response.status)
-    (not (Client.saw client "CORRUPTED"));
+    (not (Page.shows r "CORRUPTED"));
   print_endline "\nprovider_ops: done"

@@ -97,8 +97,8 @@ let () =
        Declassifier.everyone);
   let view who =
     let c = Populate.login society who in
-    let _ = Client.get c "/app/core/chameleon" ~params:[ ("user", owner) ] in
-    Client.saw c "scifi-novels"
+    let r = Client.get c "/app/core/chameleon" ~params:[ ("user", owner) ] in
+    Page.shows r "scifi-novels"
   in
   step "%s hides 'books' from %s; %s sees books: %b; %s sees books: %b" owner
     crush pal (view pal) crush (view crush);

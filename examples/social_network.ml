@@ -70,10 +70,10 @@ let () =
       Declassifier.friends_only
   in
   step "bob points his export rule at gate %S (small, auditable, reusable)" gate;
-  show "alice views bob"
-    (Client.get alice_browser "/app/sdev/social" ~params:[ ("user", "bob") ]);
+  let r = Client.get alice_browser "/app/sdev/social" ~params:[ ("user", "bob") ] in
+  show "alice views bob" r;
   Printf.printf "    alice sees: %b (the private quote crossed the perimeter for her)\n"
-    (Client.saw alice_browser "My private quote");
+    (Page.shows r "My private quote");
   let charlie_browser = login "charlie" in
   show "charlie views bob"
     (Client.get charlie_browser "/app/sdev/social" ~params:[ ("user", "bob") ]);

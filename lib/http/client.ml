@@ -4,11 +4,10 @@ type t = {
   client_name : string;
   server : server;
   mutable jar : (string * string) list;
-  mutable history : string list;
 }
 
 let make ?(name = "anonymous") server =
-  { client_name = name; server; jar = []; history = [] }
+  { client_name = name; server; jar = [] }
 
 let name t = t.client_name
 let cookies t = t.jar
@@ -28,7 +27,6 @@ let absorb_cookies t response =
 let rec perform t request redirects_left =
   let response = t.server request in
   absorb_cookies t response;
-  t.history <- response.Response.body :: t.history;
   match Headers.get response.Response.headers "location" with
   | Some location
     when response.Response.status = Response.Redirect_302 && redirects_left > 0
@@ -53,16 +51,3 @@ let post ?(form = []) t path =
     (Request.make ~headers:(cookie_header t) ~client:t.client_name ~body:form
        Request.POST path)
     5
-
-let last_bodies t = t.history
-
-let contains haystack needle =
-  let hn = String.length haystack and nn = String.length needle in
-  if nn = 0 then true
-  else
-    let rec scan i =
-      i + nn <= hn && (String.sub haystack i nn = needle || scan (i + 1))
-    in
-    scan 0
-
-let saw t needle = List.exists (fun body -> contains body needle) t.history

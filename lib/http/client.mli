@@ -5,7 +5,8 @@
     perimeter handler), and follows redirects. Everything a client
     ever receives has, by construction, crossed the perimeter: tests
     assert on client-visible bytes to prove exfiltration is or is not
-    possible. *)
+    possible. A client keeps no bodies: a test that needs everything
+    a client received wraps the [server] it passes to {!make}. *)
 
 type server = Request.t -> Response.t
 
@@ -22,10 +23,3 @@ val get :
 
 val post :
   ?form:(string * string) list -> t -> string -> Response.t
-
-val last_bodies : t -> string list
-(** Every response body this client has ever received, newest first —
-    the test suite's "what reached the outside world" oracle. *)
-
-val saw : t -> string -> bool
-(** Has any received body contained this substring? *)

@@ -21,7 +21,6 @@ and meters = {
 }
 
 and t = {
-  k_id : int;
   k_fs : Fs.t;
   k_audit : Audit.log;
   procs : (int, Proc.t) Hashtbl.t;
@@ -45,7 +44,12 @@ and t = {
      called by the syscall layer at every dispatch entry so a running
      process can be preempted at kernel-crossing boundaries. *)
   mutable k_preempt : (Proc.t -> unit) option;
+  (* State higher layers keep per kernel (see [Local]), keyed by the
+     uid of its key's type witness. *)
+  k_locals : (int, local) Hashtbl.t;
 }
+
+and local = Local : 'a Type.Id.t * 'a -> local
 
 and ctx = {
   kernel : t;
@@ -96,17 +100,10 @@ let make_meters m =
         ~help:"Completed traces evicted from the tracer ring";
   }
 
-(* Kernels are per-provider singletons; a monotone id lets global
-   side tables (e.g. the store's index registries) key per kernel
-   without keeping the kernel itself alive in a map key. *)
-let next_kernel_id = ref 0
-
 let create ?(enforcing = true) ?(audit_capacity = default_audit_capacity) () =
   let k_metrics = Metrics.create () in
-  incr next_kernel_id;
   let k =
     {
-      k_id = !next_kernel_id;
       k_fs = Fs.create ();
       k_audit = Audit.create ~capacity:audit_capacity ();
       procs = Hashtbl.create 64;
@@ -123,6 +120,7 @@ let create ?(enforcing = true) ?(audit_capacity = default_audit_capacity) () =
       k_audit_depth = 0;
       k_audit_buf = Queue.create ();
       k_preempt = None;
+      k_locals = Hashtbl.create 8;
     }
   in
   (* ring evictions surface as a counter, not only in the traces
@@ -131,7 +129,32 @@ let create ?(enforcing = true) ?(audit_capacity = default_audit_capacity) () =
       Metrics.inc k.k_meters.trace_dropped ~by:n);
   k
 
-let id k = k.k_id
+module Local = struct
+  type 'a key = {
+    id : 'a Type.Id.t;
+    uid : int;
+    init : unit -> 'a;
+  }
+
+  let key init =
+    let id = Type.Id.make () in
+    { id; uid = Type.Id.uid id; init }
+
+  let fresh k key =
+    let v = key.init () in
+    Hashtbl.replace k.k_locals key.uid (Local (key.id, v));
+    v
+
+  let get (type a) k (key : a key) : a =
+    match Hashtbl.find_opt k.k_locals key.uid with
+    | Some (Local (id, v)) -> (
+        match Type.Id.provably_equal id key.id with
+        | Some Type.Equal -> v
+        (* unreachable: a uid names one key *)
+        | None -> fresh k key)
+    | None -> fresh k key
+end
+
 let enforcing k = k.k_enforcing
 let set_enforcing k b = k.k_enforcing <- b
 let fs k = k.k_fs

@@ -79,9 +79,27 @@ val metrics : t -> W5_obs.Metrics.t
 val tracer : t -> W5_obs.Tracer.t
 val meters : t -> meters
 
-val id : t -> int
-(** A process-wide unique id for this kernel instance, for keying
-    per-kernel side tables (e.g. the store's secondary indexes). *)
+(** {1 Kernel-local state}
+
+    State that a higher layer keeps per kernel — the store's indexes,
+    a platform's groups, invitations, outboxes and service workers —
+    lives in the kernel record itself, like [Domain.DLS] scoped to one
+    kernel. A value is created by its key's [init] on the first [get]
+    against a kernel and is collected with that kernel: dropping a
+    kernel (or the platform that owns it) frees every value any layer
+    attached to it. No table outside the kernel keeps it alive. *)
+module Local : sig
+  type 'a key
+
+  val key : (unit -> 'a) -> 'a key
+  (** A new slot, empty in every kernel. Make each key once, at module
+      initialisation: a key made per call would attach a fresh slot to
+      the kernel every time. *)
+
+  val get : t -> 'a key -> 'a
+  (** This kernel's value for [key], running [init] on first use. Its
+      only allocation is the [Hashtbl.find_opt] option. *)
+end
 
 val enforcing : t -> bool
 val set_enforcing : t -> bool -> unit

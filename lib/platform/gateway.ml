@@ -2,19 +2,9 @@ open W5_difc
 open W5_os
 open W5_http
 
-(* One invitation registry per platform instance, keyed by the
-   provider principal's unique id (no reference to the platform itself
-   is retained). *)
-let invite_registries : (int, Invite.registry) Hashtbl.t = Hashtbl.create 8
-
-let invites_of platform =
-  let key = Principal.id (Platform.provider platform) in
-  match Hashtbl.find_opt invite_registries key with
-  | Some registry -> registry
-  | None ->
-      let registry = Invite.create_registry () in
-      Hashtbl.replace invite_registries key registry;
-      registry
+(* The platform's invitation registry lives with its kernel. *)
+let invites = Kernel.Local.key Invite.create_registry
+let invites_of platform = Kernel.Local.get (Platform.kernel platform) invites
 
 let viewer_of platform request =
   match Request.cookie request Session.cookie_name with

@@ -39,6 +39,10 @@ val handler : Platform.t -> Request.t -> Response.t
     Defined as [conclude platform (submit platform request)]: the
     synchronous path is the scheduled one with no drain in between. *)
 
+val invites_of : Platform.t -> Invite.registry
+(** The registry the invitation routes use, kept with the platform's
+    kernel ({!W5_os.Kernel.Local}). *)
+
 val dispatch_app :
   Platform.t -> viewer:Account.t option -> app_id:string ->
   ?version:string -> Request.t -> Response.t

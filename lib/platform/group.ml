@@ -8,18 +8,11 @@ type t = {
   mutable g_members : string list;
 }
 
-(* Group registries are platform state, keyed like the gateway's
-   invitation registry. *)
-let registries : (int, (string, t) Hashtbl.t) Hashtbl.t = Hashtbl.create 8
+(* The platform's groups by name, kept with its kernel. *)
+let registry : (string, t) Hashtbl.t Kernel.Local.key =
+  Kernel.Local.key (fun () -> Hashtbl.create 16)
 
-let registry_of platform =
-  let key = Principal.id (Platform.provider platform) in
-  match Hashtbl.find_opt registries key with
-  | Some table -> table
-  | None ->
-      let table = Hashtbl.create 16 in
-      Hashtbl.replace registries key table;
-      table
+let registry_of platform = Kernel.Local.get (Platform.kernel platform) registry
 
 let find platform ~name = Hashtbl.find_opt (registry_of platform) name
 

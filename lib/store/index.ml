@@ -55,21 +55,13 @@ type entry = {
   mutable stamp : (int * int) option;
 }
 
-(* Per-kernel registries, keyed by Kernel.id so two providers (e.g.
-   the federation tests' A and B) never share index state. *)
-let registries : (int, (string, entry) Hashtbl.t) Hashtbl.t = Hashtbl.create 4
-
-let registry kernel =
-  let kid = Kernel.id kernel in
-  match Hashtbl.find_opt registries kid with
-  | Some r -> r
-  | None ->
-      let r = Hashtbl.create 8 in
-      Hashtbl.replace registries kid r;
-      r
+(* One registry per kernel, so two providers (e.g. the federation
+   tests' A and B) never share index state. *)
+let registry : (string, entry) Hashtbl.t Kernel.Local.key =
+  Kernel.Local.key (fun () -> Hashtbl.create 8)
 
 let entry_of kernel collection =
-  let reg = registry kernel in
+  let reg = Kernel.Local.get kernel registry in
   match Hashtbl.find_opt reg collection with
   | Some e -> e
   | None ->
@@ -372,7 +364,7 @@ let meter_query_fallback = meter_fallback
 (* ---- mutation hooks (called by Obj_store) ---- *)
 
 let before_mutate kernel ~collection =
-  let reg = registry kernel in
+  let reg = Kernel.Local.get kernel registry in
   match Hashtbl.find_opt reg collection with
   | None -> false
   | Some e -> is_valid kernel collection e
@@ -381,7 +373,7 @@ let restamp kernel collection e =
   e.stamp <- current_stamp kernel collection
 
 let note_put kernel ~fresh ~collection ~id =
-  match Hashtbl.find_opt (registry kernel) collection with
+  match Hashtbl.find_opt (Kernel.Local.get kernel registry) collection with
   | None -> ()
   | Some e ->
       if fresh then begin
@@ -401,7 +393,7 @@ let note_put kernel ~fresh ~collection ~id =
       else e.stamp <- None
 
 let note_delete kernel ~fresh ~collection ~id =
-  match Hashtbl.find_opt (registry kernel) collection with
+  match Hashtbl.find_opt (Kernel.Local.get kernel registry) collection with
   | None -> ()
   | Some e ->
       if fresh then begin
@@ -421,7 +413,7 @@ let note_external_write kernel ~path =
       | Some i -> String.sub rest 0 i
     in
     let collection = Store_path.unsanitize dir in
-    match Hashtbl.find_opt (registry kernel) collection with
+    match Hashtbl.find_opt (Kernel.Local.get kernel registry) collection with
     | None -> ()
     | Some e -> e.stamp <- None
   end

@@ -1,15 +1,16 @@
 (** Label-aware secondary indexes for the object store.
 
-    A per-collection, per-kernel side table mapping declared field
-    values to object ids, consulted by {!Query.select} to shrink the
-    set of rows it must read. The index is {b never} a source of
-    truth: it is an untrusted hint. Before any candidate row is
-    served, the querying process absorbs the whole collection's label
-    {!summary} (exactly the taint a full scan would have imposed), and
-    every candidate is re-read through {!W5_os.Syscall.read_file_taint}
-    with the predicate re-applied — so a stale, corrupt or adversarial
-    index can cost performance, never secrecy, integrity or
-    correctness. See DESIGN.md ("Indexed queries").
+    A per-collection table mapping declared field values to object
+    ids, consulted by {!Query.select} to shrink the set of rows it
+    must read. The tables are kernel-local ({!W5_os.Kernel.Local}):
+    each kernel has its own, freed with it. The index is {b never} a
+    source of truth: it is an untrusted hint. Before any candidate
+    row is served, the querying process absorbs the whole
+    collection's label {!summary} (exactly the taint a full scan
+    would have imposed), and every candidate is re-read through
+    {!W5_os.Syscall.read_file_taint} with the predicate re-applied —
+    so a stale, corrupt or adversarial index can cost performance,
+    never secrecy, integrity or correctness. See DESIGN.md ("Indexed queries").
 
     Consistency is self-checked against the filesystem: each entry is
     stamped with the collection directory's [(generation, version)]

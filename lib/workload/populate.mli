@@ -42,6 +42,9 @@ val build_showcase : ?seed:int -> ?users:int -> unit -> society
 val login : society -> string -> W5_http.Client.t
 (** A browser logged in as the user. *)
 
+val password : string -> string
+(** The password a built society gives the user. *)
+
 val random_friend_graph :
   Rng.t -> users:string list -> friends_per_user:int ->
   (string * string list) list

@@ -65,19 +65,19 @@ let add_user world name =
   account
 
 let login world name =
-  let client = Client.make ~name (Gateway.handler world.platform) in
-  let r = Client.post client "/login" ~form:[ ("user", name); ("pass", name ^ "-pw") ] in
+  let client = Browser.make ~name (Gateway.handler world.platform) in
+  let r = Browser.post client "/login" ~form:[ ("user", name); ("pass", name ^ "-pw") ] in
   check bool_c (name ^ " login") true (Response.is_success r);
   client
 
 let befriend world ~who ~friend_name =
   let c = login world who in
   let r =
-    Client.post c "/app/core/social"
+    Browser.post c "/app/core/social"
       ~form:[ ("action", "add_friend"); ("friend", friend_name) ]
   in
   check int_c (who ^ " befriends " ^ friend_name) 200 (status r);
-  check bool_c "confirmation" true (Client.saw c ("now friends with " ^ friend_name))
+  check bool_c "confirmation" true (Browser.saw c ("now friends with " ^ friend_name))
 
 let install_friends_declassifier world name =
   let account = Platform.account_exn world.platform name in
@@ -92,45 +92,45 @@ let test_photo_upload_and_view () =
   ignore (add_user world "alice");
   let alice = login world "alice" in
   let r =
-    Client.post alice "/app/core/photos"
+    Browser.post alice "/app/core/photos"
       ~form:[ ("action", "upload"); ("id", "sunset"); ("data", "RAWPIXELDATA") ]
   in
   check int_c "upload" 200 (status r);
   let r =
-    Client.get alice "/app/core/photos"
+    Browser.get alice "/app/core/photos"
       ~params:[ ("action", "view"); ("user", "alice"); ("id", "sunset") ]
   in
   check int_c "view" 200 (status r);
   check bool_c "raw data shown (no module chosen)" true
-    (Client.saw alice "RAWPIXELDATA");
-  let r = Client.get alice "/app/core/photos" ~params:[ ("action", "list") ] in
+    (Browser.saw alice "RAWPIXELDATA");
+  let r = Browser.get alice "/app/core/photos" ~params:[ ("action", "list") ] in
   check int_c "list" 200 (status r);
-  check bool_c "listed" true (Client.saw alice "sunset")
+  check bool_c "listed" true (Browser.saw alice "sunset")
 
 let test_photo_crop_module_choice () =
   let world = make_world () in
   let account = add_user world "bob" in
   let bob = login world "bob" in
   ignore
-    (Client.post bob "/app/core/photos"
+    (Browser.post bob "/app/core/photos"
        ~form:[ ("action", "upload"); ("id", "p"); ("data", "ABCDEFGHIJKL") ]);
   (* choose developer A's cropper: head crop *)
   Policy.choose_module account.Account.policy ~slot:"photo.crop" ~module_id:"devA/crop";
   let r =
-    Client.get bob "/app/core/photos"
+    Browser.get bob "/app/core/photos"
       ~params:[ ("action", "view"); ("user", "bob"); ("id", "p"); ("size", "4") ]
   in
   check int_c "view A" 200 (status r);
-  check bool_c "head crop" true (Client.saw bob "ABCD");
-  check bool_c "not full" false (Client.saw bob "ABCDEFGHIJKL");
+  check bool_c "head crop" true (Browser.saw bob "ABCD");
+  check bool_c "not full" false (Browser.saw bob "ABCDEFGHIJKL");
   (* switch to developer B's framing module *)
   Policy.choose_module account.Account.policy ~slot:"photo.crop" ~module_id:"devB/crop";
   let r =
-    Client.get bob "/app/core/photos"
+    Browser.get bob "/app/core/photos"
       ~params:[ ("action", "view"); ("user", "bob"); ("id", "p") ]
   in
   check int_c "view B" 200 (status r);
-  check bool_c "framed" true (Client.saw bob "[[ABCDEFGHIJKL]]")
+  check bool_c "framed" true (Browser.saw bob "[[ABCDEFGHIJKL]]")
 
 let test_photo_requires_write_delegation () =
   let world = make_world () in
@@ -138,11 +138,11 @@ let test_photo_requires_write_delegation () =
   Policy.revoke_write account.Account.policy "core/photos";
   let carol = login world "carol" in
   let r =
-    Client.post carol "/app/core/photos"
+    Browser.post carol "/app/core/photos"
       ~form:[ ("action", "upload"); ("id", "x"); ("data", "d") ]
   in
   check int_c "still 200 (error page)" 200 (status r);
-  check bool_c "refused politely" true (Client.saw carol "write not delegated")
+  check bool_c "refused politely" true (Browser.saw carol "write not delegated")
 
 let test_photo_cross_user_via_declassifier () =
   let world = make_world () in
@@ -150,26 +150,26 @@ let test_photo_cross_user_via_declassifier () =
   ignore (add_user world "bob");
   let alice = login world "alice" in
   ignore
-    (Client.post alice "/app/core/photos"
+    (Browser.post alice "/app/core/photos"
        ~form:[ ("action", "upload"); ("id", "priv"); ("data", "ALICEPIXELS") ]);
   befriend world ~who:"alice" ~friend_name:"bob";
   install_friends_declassifier world "alice";
   let bob = login world "bob" in
   let r =
-    Client.get bob "/app/core/photos"
+    Browser.get bob "/app/core/photos"
       ~params:[ ("action", "view"); ("user", "alice"); ("id", "priv") ]
   in
   check int_c "friend sees photo" 200 (status r);
-  check bool_c "pixels" true (Client.saw bob "ALICEPIXELS");
+  check bool_c "pixels" true (Browser.saw bob "ALICEPIXELS");
   (* the same declassifier covers the blog app: data-structure
      agnosticism (§3.1) *)
   ignore
-    (Client.post alice "/app/core/blog"
+    (Browser.post alice "/app/core/blog"
        ~form:
          [ ("action", "post"); ("id", "e1"); ("title", "Hi"); ("body", "ALICEWORDS") ]);
-  let r = Client.get bob "/app/core/blog" ~params:[ ("action", "read"); ("user", "alice") ] in
+  let r = Browser.get bob "/app/core/blog" ~params:[ ("action", "read"); ("user", "alice") ] in
   check int_c "friend reads blog" 200 (status r);
-  check bool_c "words" true (Client.saw bob "ALICEWORDS")
+  check bool_c "words" true (Browser.saw bob "ALICEWORDS")
 
 (* ---- blog ---- *)
 
@@ -180,17 +180,17 @@ let test_blog_roundtrip () =
   List.iter
     (fun (id, title, body) ->
       let r =
-        Client.post c "/app/core/blog"
+        Browser.post c "/app/core/blog"
           ~form:[ ("action", "post"); ("id", id); ("title", title); ("body", body) ]
       in
       check int_c ("post " ^ id) 200 (status r))
     [ ("a", "First", "hello world"); ("b", "Second", "more words") ];
-  let r = Client.get c "/app/core/blog" ~params:[ ("action", "read"); ("user", "wri") ] in
+  let r = Browser.get c "/app/core/blog" ~params:[ ("action", "read"); ("user", "wri") ] in
   check int_c "read all" 200 (status r);
-  check bool_c "first" true (Client.saw c "hello world");
-  check bool_c "second" true (Client.saw c "more words");
+  check bool_c "first" true (Browser.saw c "hello world");
+  check bool_c "second" true (Browser.saw c "more words");
   let r =
-    Client.get c "/app/core/blog"
+    Browser.get c "/app/core/blog"
       ~params:[ ("action", "read"); ("user", "wri"); ("id", "a") ]
   in
   check int_c "read one" 200 (status r)
@@ -207,7 +207,7 @@ let test_recommendation_digest () =
     (fun (who, id, body) ->
       let c = login world who in
       ignore
-        (Client.post c "/app/core/blog"
+        (Browser.post c "/app/core/blog"
            ~form:[ ("action", "post"); ("id", id); ("title", id); ("body", body) ]))
     [
       ("f1", "long", String.make 80 'x');
@@ -223,17 +223,17 @@ let test_recommendation_digest () =
   install_friends_declassifier world "f1";
   install_friends_declassifier world "f2";
   let bob = login world "bob" in
-  let r = Client.get bob "/app/core/recommend" ~params:[ ("k", "2") ] in
+  let r = Browser.get bob "/app/core/recommend" ~params:[ ("k", "2") ] in
   check int_c "digest" 200 (status r);
-  check bool_c "top item is the long post" true (Client.saw bob "f1/long");
-  check bool_c "runner-up" true (Client.saw bob "f2/mid");
-  check bool_c "k respected" false (Client.saw bob "f1/short");
+  check bool_c "top item is the long post" true (Browser.saw bob "f1/long");
+  check bool_c "runner-up" true (Browser.saw bob "f2/mid");
+  check bool_c "k respected" false (Browser.saw bob "f1/short");
   (* a stranger cannot pull bob's digest of f1/f2 content: the
      declassifiers refuse — unless they also friend the stranger *)
   ignore (add_user world "stranger");
   befriend world ~who:"stranger" ~friend_name:"f1";
   let stranger = login world "stranger" in
-  let r = Client.get stranger "/app/core/recommend" ~params:[ ("k", "2") ] in
+  let r = Browser.get stranger "/app/core/recommend" ~params:[ ("k", "2") ] in
   (* stranger's own friends list includes f1, so the digest contains
      f1's data; f1's declassifier approves only f1's friends, and f1
      never befriended the stranger *)
@@ -250,7 +250,7 @@ let test_dating_matchmaker () =
       ignore account;
       let c = login world name in
       ignore
-        (Client.post c "/app/core/social"
+        (Browser.post c "/app/core/social"
            ~form:
              [ ("action", "set_profile"); ("field", "interests"); ("value", interests) ]);
       (* daters opt into a dating-wide export group *)
@@ -265,23 +265,23 @@ let test_dating_matchmaker () =
     ];
   let bob = login world "bob" in
   let r =
-    Client.post bob "/app/core/dating"
+    Browser.post bob "/app/core/dating"
       ~form:[ ("action", "set_metric"); ("metric", "scifi:5,jazz:2") ]
   in
   check int_c "metric saved" 200 (status r);
-  let r = Client.get bob "/app/core/dating" ~params:[ ("action", "match"); ("k", "2") ] in
+  let r = Browser.get bob "/app/core/dating" ~params:[ ("action", "match"); ("k", "2") ] in
   check int_c "match" 200 (status r);
-  check bool_c "best match" true (Client.saw bob "cand1 (score 7)");
-  check bool_c "second" true (Client.saw bob "cand2 (score 2)");
-  check bool_c "opera fan filtered by k" false (Client.saw bob "cand3")
+  check bool_c "best match" true (Browser.saw bob "cand1 (score 7)");
+  check bool_c "second" true (Browser.saw bob "cand2 (score 2)");
+  check bool_c "opera fan filtered by k" false (Browser.saw bob "cand3")
 
 let test_dating_needs_metric () =
   let world = make_world () in
   ignore (add_user world "solo");
   let c = login world "solo" in
-  let r = Client.get c "/app/core/dating" ~params:[ ("action", "match") ] in
+  let r = Browser.get c "/app/core/dating" ~params:[ ("action", "match") ] in
   check int_c "asks for metric" 200 (status r);
-  check bool_c "hint" true (Client.saw c "set a compatibility metric first")
+  check bool_c "hint" true (Browser.saw c "set a compatibility metric first")
 
 (* ---- chameleon ---- *)
 
@@ -292,10 +292,10 @@ let test_chameleon_profile () =
   ignore (add_user world "crush");
   let bob = login world "bob" in
   ignore
-    (Client.post bob "/app/core/social"
+    (Browser.post bob "/app/core/social"
        ~form:[ ("action", "set_profile"); ("field", "books"); ("value", "scifi-novels") ]);
   ignore
-    (Client.post bob "/app/core/chameleon"
+    (Browser.post bob "/app/core/chameleon"
        ~form:[ ("action", "hide"); ("field", "books"); ("from", "crush") ]);
   (* bob exports to everyone so both viewers get pages; the filtering
      is the app's server-side logic *)
@@ -304,13 +304,13 @@ let test_chameleon_profile () =
     (Declassifier.install_and_authorize world.platform ~account ~name:"public"
        Declassifier.everyone);
   let buddy = login world "buddy" in
-  let r = Client.get buddy "/app/core/chameleon" ~params:[ ("user", "bob") ] in
+  let r = Browser.get buddy "/app/core/chameleon" ~params:[ ("user", "bob") ] in
   check int_c "buddy ok" 200 (status r);
-  check bool_c "buddy sees books" true (Client.saw buddy "scifi-novels");
+  check bool_c "buddy sees books" true (Browser.saw buddy "scifi-novels");
   let crush = login world "crush" in
-  let r = Client.get crush "/app/core/chameleon" ~params:[ ("user", "bob") ] in
+  let r = Browser.get crush "/app/core/chameleon" ~params:[ ("user", "bob") ] in
   check int_c "crush ok" 200 (status r);
-  check bool_c "books hidden from crush" false (Client.saw crush "scifi-novels")
+  check bool_c "books hidden from crush" false (Browser.saw crush "scifi-novels")
 
 (* ---- mashup (E10) ---- *)
 
@@ -319,7 +319,7 @@ let seed_addressbook world name =
   List.iter
     (fun (n, street) ->
       let r =
-        Client.post c "/app/core/mashup"
+        Browser.post c "/app/core/mashup"
           ~form:[ ("action", "add"); ("name", n); ("street", street) ]
       in
       check int_c ("add " ^ n) 200 (status r))
@@ -330,9 +330,9 @@ let test_mashup_renders_server_side () =
   let world = make_world () in
   ignore (add_user world "alice");
   let alice = seed_addressbook world "alice" in
-  let r = Client.get alice "/app/core/mashup" ~params:[ ("action", "map") ] in
+  let r = Browser.get alice "/app/core/mashup" ~params:[ ("action", "map") ] in
   check int_c "map" 200 (status r);
-  check bool_c "grid rendered" true (Client.saw alice "*")
+  check bool_c "grid rendered" true (Browser.saw alice "*")
 
 let test_mashup_evil_module_cannot_stash () =
   let world = make_world () in
@@ -340,7 +340,7 @@ let test_mashup_evil_module_cannot_stash () =
   Policy.choose_module account.Account.policy ~slot:"map.render"
     ~module_id:"gmaps-evil/render";
   let victim = seed_addressbook world "victim" in
-  let r = Client.get victim "/app/core/mashup" ~params:[ ("action", "map") ] in
+  let r = Browser.get victim "/app/core/mashup" ~params:[ ("action", "map") ] in
   (* the map still renders for the victim... *)
   check int_c "map renders" 200 (status r);
   (* ...but the stash attempt was denied by the kernel: no file *)
@@ -364,53 +364,53 @@ let test_thief_blocked () =
   ignore (add_user world "alice");
   let alice = login world "alice" in
   ignore
-    (Client.post alice "/app/core/social"
+    (Browser.post alice "/app/core/social"
        ~form:[ ("action", "set_profile"); ("field", "ssn"); ("value", "SSN-123-45") ]);
   (* the thief's developer browses anonymously *)
-  let attacker = Client.make ~name:"attacker" (Gateway.handler world.platform) in
-  let r = Client.get attacker "/app/mal/thief" ~params:[ ("target", "alice") ] in
+  let attacker = Browser.make ~name:"attacker" (Gateway.handler world.platform) in
+  let r = Browser.get attacker "/app/mal/thief" ~params:[ ("target", "alice") ] in
   check int_c "export refused" 403 (status r);
-  check bool_c "no ssn" false (Client.saw attacker "SSN-123-45");
+  check bool_c "no ssn" false (Browser.saw attacker "SSN-123-45");
   (* even a logged-in non-owner gets nothing *)
   ignore (add_user world "mallory");
   let mallory = login world "mallory" in
-  let r = Client.get mallory "/app/mal/thief" ~params:[ ("target", "alice") ] in
+  let r = Browser.get mallory "/app/mal/thief" ~params:[ ("target", "alice") ] in
   check int_c "refused for mallory" 403 (status r);
-  check bool_c "mallory no ssn" false (Client.saw mallory "SSN-123-45");
+  check bool_c "mallory no ssn" false (Browser.saw mallory "SSN-123-45");
   (* the owner can run the thief on herself: it reads, cannot copy *)
-  let r = Client.get alice "/app/mal/thief" ~params:[ ("target", "alice") ] in
+  let r = Browser.get alice "/app/mal/thief" ~params:[ ("target", "alice") ] in
   check int_c "owner sees own data" 200 (status r);
-  check bool_c "copy denied" true (Client.saw alice "copy-to-public denied")
+  check bool_c "copy denied" true (Browser.saw alice "copy-to-public denied")
 
 let test_vandal_blocked () =
   let world = make_world () in
   ignore (add_user world "alice");
   ignore (add_user world "mallory");
   let mallory = login world "mallory" in
-  let r = Client.get mallory "/app/mal/vandal" ~params:[ ("target", "alice") ] in
+  let r = Browser.get mallory "/app/mal/vandal" ~params:[ ("target", "alice") ] in
   check int_c "vandal report" 200 (status r);
-  check bool_c "nothing allowed" false (Client.saw mallory "ALLOWED (bug!)");
+  check bool_c "nothing allowed" false (Browser.saw mallory "ALLOWED (bug!)");
   (* alice's data is intact *)
   let alice = login world "alice" in
-  let r = Client.get alice "/app/core/social" ~params:[ ("user", "alice") ] in
+  let r = Browser.get alice "/app/core/social" ~params:[ ("user", "alice") ] in
   check int_c "profile fine" 200 (status r);
-  check bool_c "not vandalized" false (Client.saw alice "VANDALIZED")
+  check bool_c "not vandalized" false (Browser.saw alice "VANDALIZED")
 
 let test_hog_dies_by_quota_others_fine () =
   let world = make_world () in
   ignore (add_user world "alice");
   let alice = login world "alice" in
-  let r = Client.get alice "/app/mal/hog" in
+  let r = Browser.get alice "/app/mal/hog" in
   check int_c "hog killed" 429 (status r);
   (* platform still serves others *)
-  let r = Client.get alice "/app/core/social" ~params:[ ("user", "alice") ] in
+  let r = Browser.get alice "/app/core/social" ~params:[ ("user", "alice") ] in
   check int_c "still serving" 200 (status r)
 
 let test_spammer_dies_by_quota () =
   let world = make_world () in
   ignore (add_user world "alice");
   let alice = login world "alice" in
-  let r = Client.get alice "/app/mal/spammer" in
+  let r = Browser.get alice "/app/mal/spammer" in
   check int_c "spammer killed" 429 (status r)
 
 let test_hoarder_allowed_but_flaggable () =
@@ -418,7 +418,7 @@ let test_hoarder_allowed_but_flaggable () =
   ignore (add_user world "alice");
   let alice = login world "alice" in
   let r =
-    Client.post alice "/app/mal/hoarder"
+    Browser.post alice "/app/mal/hoarder"
       ~form:[ ("action", "import"); ("data", "my plain data") ]
   in
   (* nothing in W5 prevents anti-social storage (§3.2)... *)
@@ -517,14 +517,14 @@ let test_message_send_and_inbox () =
   publish_messages world;
   let alice = login world "alice" in
   let r =
-    Client.post alice "/app/core/messages"
+    Browser.post alice "/app/core/messages"
       ~form:[ ("action", "send"); ("to", "bob"); ("body", "MEET-AT-NOON") ]
   in
   check int_c "send" 200 (status r);
   (* bob cannot read it yet: the message carries alice's tag and she
      has no declassifier *)
   let bob = login world "bob" in
-  let r = Client.get bob "/app/core/messages" ~params:[ ("action", "inbox") ] in
+  let r = Browser.get bob "/app/core/messages" ~params:[ ("action", "inbox") ] in
   check int_c "blocked" 403 (status r);
   (* alice authorizes her correspondents *)
   let account = Platform.account_exn world.platform "alice" in
@@ -532,12 +532,12 @@ let test_message_send_and_inbox () =
     (Declassifier.install_and_authorize world.platform ~account ~name:"mail"
        (Declassifier.group ~members:[ "bob" ]));
   let bob2 = login world "bob" in
-  let r = Client.get bob2 "/app/core/messages" ~params:[ ("action", "inbox") ] in
+  let r = Browser.get bob2 "/app/core/messages" ~params:[ ("action", "inbox") ] in
   check int_c "inbox" 200 (status r);
-  check bool_c "message delivered" true (Client.saw bob2 "MEET-AT-NOON");
+  check bool_c "message delivered" true (Browser.saw bob2 "MEET-AT-NOON");
   (* filtering by sender uses the same safe query *)
   let r =
-    Client.get bob2 "/app/core/messages"
+    Browser.get bob2 "/app/core/messages"
       ~params:[ ("action", "from"); ("sender", "alice") ]
   in
   check int_c "filter" 200 (status r)
@@ -550,7 +550,7 @@ let test_message_third_party_cannot_peek () =
   publish_messages world;
   let alice = login world "alice" in
   ignore
-    (Client.post alice "/app/core/messages"
+    (Browser.post alice "/app/core/messages"
        ~form:[ ("action", "send"); ("to", "bob"); ("body", "FOR-BOB-ONLY") ]);
   let account = Platform.account_exn world.platform "alice" in
   ignore
@@ -559,10 +559,10 @@ let test_message_third_party_cannot_peek () =
   (* eve asks for BOB's inbox: the query engine reads it (tainting the
      process with bob's tag too), and the perimeter refuses eve *)
   let eve = login world "eve" in
-  let r = Client.get eve "/app/core/messages" ~params:[ ("action", "inbox") ] in
+  let r = Browser.get eve "/app/core/messages" ~params:[ ("action", "inbox") ] in
   (* eve's own inbox is empty -> fine *)
   check int_c "own inbox ok" 200 (status r);
-  check bool_c "no snooping" false (Client.saw eve "FOR-BOB-ONLY")
+  check bool_c "no snooping" false (Browser.saw eve "FOR-BOB-ONLY")
 
 let suite =
   suite
@@ -588,7 +588,7 @@ let test_calendar_busy_free () =
     [ "owner"; "friendo" ];
   let owner = login world "owner" in
   let r =
-    Client.post owner "/app/core/calendar"
+    Browser.post owner "/app/core/calendar"
       ~form:
         [
           ("action", "add"); ("id", "standup"); ("title", "SECRET-THERAPY");
@@ -603,20 +603,20 @@ let test_calendar_busy_free () =
     (Declassifier.install_and_authorize world.platform ~account ~name:"busyfree"
        (Declassifier.redacting Declassifier.friends_only));
   (* owner sees the full title *)
-  let r = Client.get owner "/app/core/calendar" ~params:[ ("action", "week"); ("user", "owner") ] in
+  let r = Browser.get owner "/app/core/calendar" ~params:[ ("action", "week"); ("user", "owner") ] in
   check int_c "owner week" 200 (status r);
-  check bool_c "owner sees title" true (Client.saw owner "SECRET-THERAPY");
+  check bool_c "owner sees title" true (Browser.saw owner "SECRET-THERAPY");
   (* the friend sees the slot but not the title *)
   let friendo = login world "friendo" in
-  let r = Client.get friendo "/app/core/calendar" ~params:[ ("action", "week"); ("user", "owner") ] in
+  let r = Browser.get friendo "/app/core/calendar" ~params:[ ("action", "week"); ("user", "owner") ] in
   check int_c "friend week" 200 (status r);
-  check bool_c "slot visible" true (Client.saw friendo "09:00-11:00");
-  check bool_c "title redacted" false (Client.saw friendo "SECRET-THERAPY");
+  check bool_c "slot visible" true (Browser.saw friendo "09:00-11:00");
+  check bool_c "title redacted" false (Browser.saw friendo "SECRET-THERAPY");
   (* a stranger sees nothing at all *)
   ignore (add_user world "nosy");
   ignore (ok_s (Platform.enable_app world.platform ~user:"nosy" ~app:"core/calendar"));
   let nosy = login world "nosy" in
-  let r = Client.get nosy "/app/core/calendar" ~params:[ ("action", "week"); ("user", "owner") ] in
+  let r = Browser.get nosy "/app/core/calendar" ~params:[ ("action", "week"); ("user", "owner") ] in
   check int_c "stranger blocked" 403 (status r)
 
 (* ---- polls: aggregates flow, ballots are vetoed ---- *)
@@ -640,24 +640,24 @@ let test_poll_tally_flows_ballots_blocked () =
     (fun (user, choice) ->
       let c = login world user in
       let r =
-        Client.post c "/app/core/polls"
+        Browser.post c "/app/core/polls"
           ~form:[ ("action", "vote"); ("poll", "lunch"); ("choice", choice) ]
       in
       check int_c (user ^ " votes") 200 (status r))
     [ ("v1", "pizza"); ("v2", "pizza"); ("v3", "salad") ];
   (* anyone — even a logged-out client — can see the tally *)
-  let anon = Client.make (Gateway.handler world.platform) in
+  let anon = Browser.make (Gateway.handler world.platform) in
   ignore (add_user world "reader");
   let reader = login world "reader" in
   ignore (ok_s (Platform.enable_app world.platform ~user:"reader" ~app:"core/polls"));
-  let r = Client.get reader "/app/core/polls" ~params:[ ("action", "tally"); ("poll", "lunch") ] in
+  let r = Browser.get reader "/app/core/polls" ~params:[ ("action", "tally"); ("poll", "lunch") ] in
   check int_c "tally flows" 200 (status r);
-  check bool_c "counts" true (Client.saw reader "pizza: 2" && Client.saw reader "salad: 1");
+  check bool_c "counts" true (Browser.saw reader "pizza: 2" && Browser.saw reader "salad: 1");
   ignore anon;
   (* the ballots view is vetoed for the same reader *)
-  let r = Client.get reader "/app/core/polls" ~params:[ ("action", "ballots"); ("poll", "lunch") ] in
+  let r = Browser.get reader "/app/core/polls" ~params:[ ("action", "ballots"); ("poll", "lunch") ] in
   check int_c "ballots vetoed" 403 (status r);
-  check bool_c "no raw votes seen" false (Client.saw reader "v1 voted")
+  check bool_c "no raw votes seen" false (Browser.saw reader "v1 voted")
 
 (* ---- rate limiting at the front door ---- *)
 
@@ -669,14 +669,14 @@ let test_rate_limit () =
   let alice = login world "alice" in
   let statuses =
     List.init 8 (fun _ ->
-        status (Client.get alice "/app/core/social" ~params:[ ("user", "alice") ]))
+        status (Browser.get alice "/app/core/social" ~params:[ ("user", "alice") ]))
   in
   let ok_count = List.length (List.filter (( = ) 200) statuses) in
   let throttled = List.length (List.filter (( = ) 429) statuses) in
   check int_c "five served" 5 ok_count;
   check int_c "three throttled" 3 throttled;
   (* provider routes are not throttled *)
-  let r = Client.get alice "/audit" in
+  let r = Browser.get alice "/audit" in
   check int_c "audit still served" 200 (status r)
 
 let suite =
@@ -698,7 +698,7 @@ let test_digest_email_respects_declassifiers () =
   (* pal posts something and befriends bob; bob lists pal as friend *)
   let palc = login world "pal" in
   ignore
-    (Client.post palc "/app/core/blog"
+    (Browser.post palc "/app/core/blog"
        ~form:[ ("action", "post"); ("id", "x"); ("title", "t"); ("body", "PALWORDS") ]);
   befriend world ~who:"bob" ~friend_name:"pal";
   befriend world ~who:"pal" ~friend_name:"bob";
@@ -708,7 +708,7 @@ let test_digest_email_respects_declassifiers () =
   befriend world ~who:"loner" ~friend_name:"bob";
   let bobc = login world "bob" in
   ignore
-    (Client.post bobc "/app/core/blog"
+    (Browser.post bobc "/app/core/blog"
        ~form:[ ("action", "post"); ("id", "y"); ("title", "t"); ("body", "BOBWORDS") ]);
   (* bob's own data has no declassifier — not needed for his own mail *)
   let stats =
@@ -751,15 +751,15 @@ let test_search_app_over_http () =
           ~dev:(Principal.make Principal.Developer "provider")
           ~editors:[ editor ] ()));
   (* public: even anonymous clients can search *)
-  let anon = Client.make (Gateway.handler world.platform) in
-  let r = Client.get anon "/app/provider/search" ~params:[ ("q", "crop") ] in
+  let anon = Browser.make (Gateway.handler world.platform) in
+  let r = Browser.get anon "/app/provider/search" ~params:[ ("q", "crop") ] in
   check int_c "search ok" 200 (status r);
   check bool_c "finds both croppers" true
-    (Client.saw anon "devA/crop" && Client.saw anon "devB/crop");
-  check bool_c "no unrelated hits" false (Client.saw anon "core/blog");
-  let r = Client.get anon "/app/provider/search" ~params:[ ("q", "hoarder") ] in
+    (Browser.saw anon "devA/crop" && Browser.saw anon "devB/crop");
+  check bool_c "no unrelated hits" false (Browser.saw anon "core/blog");
+  let r = Browser.get anon "/app/provider/search" ~params:[ ("q", "hoarder") ] in
   check int_c "flag search ok" 200 (status r);
-  check bool_c "flag surfaced" true (Client.saw anon "FLAGGED by mag")
+  check bool_c "flag surfaced" true (Browser.saw anon "FLAGGED by mag")
 
 let suite =
   suite
@@ -777,12 +777,12 @@ let test_blog_comments () =
   ignore (add_user world "fan");
   let author = login world "author" in
   ignore
-    (Client.post author "/app/core/blog"
+    (Browser.post author "/app/core/blog"
        ~form:[ ("action", "post"); ("id", "e"); ("title", "T"); ("body", "B") ]);
   (* the fan comments *)
   let fan = login world "fan" in
   let r =
-    Client.post fan "/app/core/blog"
+    Browser.post fan "/app/core/blog"
       ~form:
         [ ("action", "comment"); ("user", "author"); ("id", "e");
           ("text", "FAN-SAYS-HI") ]
@@ -790,17 +790,17 @@ let test_blog_comments () =
   check int_c "comment posted" 200 (status r);
   (* commenting on a ghost entry fails *)
   let r =
-    Client.post fan "/app/core/blog"
+    Browser.post fan "/app/core/blog"
       ~form:
         [ ("action", "comment"); ("user", "author"); ("id", "ghost"); ("text", "x") ]
   in
-  check bool_c "ghost entry rejected" true (Client.saw fan "no such entry");
+  check bool_c "ghost entry rejected" true (Browser.saw fan "no such entry");
   ignore r;
   (* the author authorizes friends; fan is not yet a friend: the page
      with the fan's comment is refused even for the author?! No — the
      page carries BOTH tags; the author's own tag passes via the
      boilerplate, the fan's tag needs the fan's declassifier. *)
-  let r = Client.get author "/app/core/blog" ~params:[ ("action", "read"); ("user", "author") ] in
+  let r = Browser.get author "/app/core/blog" ~params:[ ("action", "read"); ("user", "author") ] in
   check int_c "author blocked while fan has no declassifier" 403 (status r);
   (* the fan authorizes exports to the author *)
   let fan_account = Platform.account_exn world.platform "fan" in
@@ -809,13 +809,13 @@ let test_blog_comments () =
        ~name:"commenters"
        (Declassifier.group ~members:[ "author" ]));
   let author2 = login world "author" in
-  let r = Client.get author2 "/app/core/blog" ~params:[ ("action", "read"); ("user", "author") ] in
+  let r = Browser.get author2 "/app/core/blog" ~params:[ ("action", "read"); ("user", "author") ] in
   check int_c "author reads with comment" 200 (status r);
-  check bool_c "comment visible" true (Client.saw author2 "FAN-SAYS-HI");
+  check bool_c "comment visible" true (Browser.saw author2 "FAN-SAYS-HI");
   (* a third party needs BOTH declassifiers *)
   ignore (add_user world "reader");
   let reader = login world "reader" in
-  let r = Client.get reader "/app/core/blog" ~params:[ ("action", "read"); ("user", "author") ] in
+  let r = Browser.get reader "/app/core/blog" ~params:[ ("action", "read"); ("user", "author") ] in
   check int_c "reader blocked (author tag)" 403 (status r)
 
 let suite =
@@ -828,15 +828,15 @@ let test_photo_view_missing_and_bad_params () =
   ignore (add_user world "alice");
   let alice = login world "alice" in
   let r =
-    Client.get alice "/app/core/photos"
+    Browser.get alice "/app/core/photos"
       ~params:[ ("action", "view"); ("user", "alice"); ("id", "ghost") ]
   in
   check int_c "missing photo is an error page" 200 (status r);
-  check bool_c "explains" true (Client.saw alice "not found");
-  let r = Client.get alice "/app/core/photos" ~params:[ ("action", "view") ] in
-  check bool_c "missing params" true (Client.saw alice "user and id required");
-  let r2 = Client.get alice "/app/core/photos" ~params:[ ("action", "explode") ] in
-  check bool_c "unknown action" true (Client.saw alice "unknown action");
+  check bool_c "explains" true (Browser.saw alice "not found");
+  let r = Browser.get alice "/app/core/photos" ~params:[ ("action", "view") ] in
+  check bool_c "missing params" true (Browser.saw alice "user and id required");
+  let r2 = Browser.get alice "/app/core/photos" ~params:[ ("action", "explode") ] in
+  check bool_c "unknown action" true (Browser.saw alice "unknown action");
   ignore (r, r2)
 
 let test_messages_to_ghost_user () =
@@ -846,20 +846,20 @@ let test_messages_to_ghost_user () =
   ok_s (Platform.enable_app world.platform ~user:"alice" ~app:"core/messages");
   let alice = login world "alice" in
   let r =
-    Client.post alice "/app/core/messages"
+    Browser.post alice "/app/core/messages"
       ~form:[ ("action", "send"); ("to", "nobody"); ("body", "hi") ]
   in
   check int_c "error page" 200 (status r);
-  check bool_c "explains" true (Client.saw alice "no such user")
+  check bool_c "explains" true (Browser.saw alice "no such user")
 
 let test_dating_default_k_and_empty_pool () =
   let world = make_world () in
   ignore (add_user world "solo2");
   let c = login world "solo2" in
   ignore
-    (Client.post c "/app/core/dating"
+    (Browser.post c "/app/core/dating"
        ~form:[ ("action", "set_metric"); ("metric", "x:1") ]);
-  let r = Client.get c "/app/core/dating" ~params:[ ("action", "match") ] in
+  let r = Browser.get c "/app/core/dating" ~params:[ ("action", "match") ] in
   (* nobody else has interests: empty list, not an error *)
   check int_c "empty pool ok" 200 (status r)
 
@@ -868,10 +868,10 @@ let test_chameleon_anonymous_viewer_conservative () =
   ignore (add_user world "owner2");
   let owner = login world "owner2" in
   ignore
-    (Client.post owner "/app/core/social"
+    (Browser.post owner "/app/core/social"
        ~form:[ ("action", "set_profile"); ("field", "books"); ("value", "HIDDENBOOKS") ]);
   ignore
-    (Client.post owner "/app/core/chameleon"
+    (Browser.post owner "/app/core/chameleon"
        ~form:[ ("action", "hide"); ("field", "books"); ("from", "whoever") ]);
   let account = Platform.account_exn world.platform "owner2" in
   ignore
@@ -879,10 +879,10 @@ let test_chameleon_anonymous_viewer_conservative () =
        Declassifier.everyone);
   (* anonymous clients get the most conservative page: hidden fields
      are omitted for unknown viewers *)
-  let anon = Client.make (Gateway.handler world.platform) in
-  let r = Client.get anon "/app/core/chameleon" ~params:[ ("user", "owner2") ] in
+  let anon = Browser.make (Gateway.handler world.platform) in
+  let r = Browser.get anon "/app/core/chameleon" ~params:[ ("user", "owner2") ] in
   check int_c "served" 200 (status r);
-  check bool_c "hidden field omitted for anonymous" false (Client.saw anon "HIDDENBOOKS")
+  check bool_c "hidden field omitted for anonymous" false (Browser.saw anon "HIDDENBOOKS")
 
 let test_hoarder_without_delegation () =
   let world = make_world () in
@@ -890,10 +890,10 @@ let test_hoarder_without_delegation () =
   Policy.revoke_write account.Account.policy "mal/hoarder";
   let wary = login world "wary" in
   let r =
-    Client.post wary "/app/mal/hoarder" ~form:[ ("action", "import"); ("data", "d") ]
+    Browser.post wary "/app/mal/hoarder" ~form:[ ("action", "import"); ("data", "d") ]
   in
   check int_c "page" 200 (status r);
-  check bool_c "write refused" true (Client.saw wary "write not delegated")
+  check bool_c "write refused" true (Browser.saw wary "write not delegated")
 
 let suite =
   suite
@@ -933,15 +933,15 @@ let test_malicious_crop_module_contained () =
     ~module_id:"evilcrop/crop";
   let victim = login world "victim2" in
   ignore
-    (Client.post victim "/app/core/photos"
+    (Browser.post victim "/app/core/photos"
        ~form:[ ("action", "upload"); ("id", "p"); ("data", "VICTIMPIXELS") ]);
   let r =
-    Client.get victim "/app/core/photos"
+    Browser.get victim "/app/core/photos"
       ~params:[ ("action", "view"); ("user", "victim2"); ("id", "p") ]
   in
   (* the pipeline still works for the owner *)
   check int_c "view ok" 200 (status r);
-  check bool_c "owner sees pixels" true (Client.saw victim "VICTIMPIXELS");
+  check bool_c "owner sees pixels" true (Browser.saw victim "VICTIMPIXELS");
   (* but the stash was denied: the module ran inside the tainted
      process and could not write low *)
   let looted =
@@ -972,24 +972,24 @@ let test_prober_cannot_export_the_bit () =
   (* alice messages bob: one row now exists in bob's inbox *)
   let alice = login world "alice" in
   let r =
-    Client.post alice "/app/core/messages"
+    Browser.post alice "/app/core/messages"
       ~form:[ ("action", "send"); ("to", "bob"); ("body", "hello") ]
   in
   check int_c "message sent" 200 (status r);
   (* eve probes bob's inbox for the existence bit *)
   let eve = login world "eve" in
   let r =
-    Client.get eve "/app/mal/prober" ~params:[ ("collection", "inbox-bob") ]
+    Browser.get eve "/app/mal/prober" ~params:[ ("collection", "inbox-bob") ]
   in
   check int_c "bit refused" 403 (status r);
-  check bool_c "no bit leaked" false (Client.saw eve "BIT:1");
+  check bool_c "no bit leaked" false (Browser.saw eve "BIT:1");
   (* probing an empty/nonexistent collection reveals nothing secret:
      that is an honest error, exportable *)
   let r =
-    Client.get eve "/app/mal/prober" ~params:[ ("collection", "inbox-nobody") ]
+    Browser.get eve "/app/mal/prober" ~params:[ ("collection", "inbox-nobody") ]
   in
   check int_c "empty probe is a plain error" 200 (status r);
-  check bool_c "count failed note" true (Client.saw eve "count failed")
+  check bool_c "count failed note" true (Browser.saw eve "count failed")
 
 let suite =
   suite
@@ -1006,43 +1006,43 @@ let test_unfriend_revokes_access () =
   ignore (add_user world "bob");
   let alice = login world "alice" in
   ignore
-    (Client.post alice "/app/core/social"
+    (Browser.post alice "/app/core/social"
        ~form:[ ("action", "set_profile"); ("field", "diary"); ("value", "PRIVATE-NOTE") ]);
   befriend world ~who:"alice" ~friend_name:"bob";
   install_friends_declassifier world "alice";
   let bob = login world "bob" in
-  let r = Client.get bob "/app/core/social" ~params:[ ("user", "alice") ] in
+  let r = Browser.get bob "/app/core/social" ~params:[ ("user", "alice") ] in
   check int_c "friend sees page" 200 (status r);
   (* alice unfriends bob *)
   let r =
-    Client.post alice "/app/core/social"
+    Browser.post alice "/app/core/social"
       ~form:[ ("action", "remove_friend"); ("friend", "bob") ]
   in
   check int_c "unfriended" 200 (status r);
-  check bool_c "confirmation" true (Client.saw alice "no longer friends with bob");
+  check bool_c "confirmation" true (Browser.saw alice "no longer friends with bob");
   (* the very next request is refused: the declassifier reads the
      friends list live, there is no stale grant to revoke *)
   let bob2 = login world "bob" in
-  let r = Client.get bob2 "/app/core/social" ~params:[ ("user", "alice") ] in
+  let r = Browser.get bob2 "/app/core/social" ~params:[ ("user", "alice") ] in
   check int_c "access gone" 403 (status r);
-  check bool_c "no note" false (Client.saw bob2 "PRIVATE-NOTE")
+  check bool_c "no note" false (Browser.saw bob2 "PRIVATE-NOTE")
 
 let test_photo_delete () =
   let world = make_world () in
   ignore (add_user world "alice");
   let alice = login world "alice" in
   ignore
-    (Client.post alice "/app/core/photos"
+    (Browser.post alice "/app/core/photos"
        ~form:[ ("action", "upload"); ("id", "tmp"); ("data", "D") ]);
-  let r = Client.get alice "/app/core/photos" ~params:[ ("action", "list") ] in
-  check bool_c "listed" true (Client.saw alice "tmp");
+  let r = Browser.get alice "/app/core/photos" ~params:[ ("action", "list") ] in
+  check bool_c "listed" true (Browser.saw alice "tmp");
   ignore r;
-  let r = Client.post alice "/app/core/photos" ~form:[ ("action", "delete"); ("id", "tmp") ] in
+  let r = Browser.post alice "/app/core/photos" ~form:[ ("action", "delete"); ("id", "tmp") ] in
   check int_c "deleted" 200 (status r);
   let alice2 = login world "alice" in
-  let r = Client.get alice2 "/app/core/photos" ~params:[ ("action", "list") ] in
+  let r = Browser.get alice2 "/app/core/photos" ~params:[ ("action", "list") ] in
   check int_c "list again" 200 (status r);
-  check bool_c "gone" false (Client.saw alice2 "tmp");
+  check bool_c "gone" false (Browser.saw alice2 "tmp");
   (* deleting someone else's photo still impossible: the handler only
      ever touches the viewer's own directory, and even a patched app
      would hit write protection (see vandal test) *)
@@ -1069,15 +1069,15 @@ let test_poll_revote_overwrites () =
        (Declassifier.require_no_secrets Declassifier.everyone));
   let c = login world "v" in
   ignore
-    (Client.post c "/app/core/polls"
+    (Browser.post c "/app/core/polls"
        ~form:[ ("action", "vote"); ("poll", "p"); ("choice", "yes") ]);
   ignore
-    (Client.post c "/app/core/polls"
+    (Browser.post c "/app/core/polls"
        ~form:[ ("action", "vote"); ("poll", "p"); ("choice", "no") ]);
-  let r = Client.get c "/app/core/polls" ~params:[ ("action", "tally"); ("poll", "p") ] in
+  let r = Browser.get c "/app/core/polls" ~params:[ ("action", "tally"); ("poll", "p") ] in
   check int_c "tally" 200 (status r);
-  check bool_c "revote replaced" true (Client.saw c "no: 1");
-  check bool_c "no stale vote" false (Client.saw c "yes: 1")
+  check bool_c "revote replaced" true (Browser.saw c "no: 1");
+  check bool_c "no stale vote" false (Browser.saw c "yes: 1")
 
 let test_calendar_rejects_bad_day () =
   let world = make_world () in
@@ -1088,13 +1088,13 @@ let test_calendar_rejects_bad_day () =
   Policy.delegate_write account.Account.policy "core/calendar";
   let c = login world "cal" in
   let r =
-    Client.post c "/app/core/calendar"
+    Browser.post c "/app/core/calendar"
       ~form:
         [ ("action", "add"); ("id", "x"); ("title", "t"); ("day", "9");
           ("start", "1"); ("len", "1") ]
   in
   check int_c "error page" 200 (status r);
-  check bool_c "explains" true (Client.saw c "day (0-6)")
+  check bool_c "explains" true (Browser.saw c "day (0-6)")
 
 let test_message_to_self () =
   let world = make_world () in
@@ -1102,12 +1102,12 @@ let test_message_to_self () =
   publish_messages world;
   let c = login world "solo3" in
   ignore
-    (Client.post c "/app/core/messages"
+    (Browser.post c "/app/core/messages"
        ~form:[ ("action", "send"); ("to", "solo3"); ("body", "note to self") ]);
   (* own tag only: the boilerplate policy suffices, no declassifier *)
-  let r = Client.get c "/app/core/messages" ~params:[ ("action", "inbox") ] in
+  let r = Browser.get c "/app/core/messages" ~params:[ ("action", "inbox") ] in
   check int_c "inbox" 200 (status r);
-  check bool_c "note visible" true (Client.saw c "note to self")
+  check bool_c "note visible" true (Browser.saw c "note to self")
 
 let test_silo_helpers () =
   let open W5_apps.Silo_baseline in
@@ -1138,21 +1138,21 @@ let test_social_defaults_to_viewer () =
   ignore (add_user world "selfie");
   let c = login world "selfie" in
   (* no ?user= parameter: the app shows the viewer's own profile *)
-  let r = Client.get c "/app/core/social" in
+  let r = Browser.get c "/app/core/social" in
   check int_c "own page" 200 (status r);
-  check bool_c "own name" true (Client.saw c "selfie");
+  check bool_c "own name" true (Browser.saw c "selfie");
   (* anonymous with no user param: error page, no crash *)
-  let anon = Client.make (Gateway.handler world.platform) in
-  let r = Client.get anon "/app/core/social" in
+  let anon = Browser.make (Gateway.handler world.platform) in
+  let r = Browser.get anon "/app/core/social" in
   check int_c "anon no target" 200 (status r);
-  check bool_c "explains" true (Client.saw anon "user required")
+  check bool_c "explains" true (Browser.saw anon "user required")
 
 let test_recommend_requires_login () =
   let world = make_world () in
-  let anon = Client.make (Gateway.handler world.platform) in
-  let r = Client.get anon "/app/core/recommend" in
+  let anon = Browser.make (Gateway.handler world.platform) in
+  let r = Browser.get anon "/app/core/recommend" in
   check int_c "login prompt" 200 (status r);
-  check bool_c "prompted" true (Client.saw anon "please log in")
+  check bool_c "prompted" true (Browser.saw anon "please log in")
 
 let test_group_member_caps_after_removal () =
   let world = make_world () in
@@ -1189,38 +1189,38 @@ let test_thumbnail_worker () =
   ignore (ok_s' (W5_apps.Thumb_service.install world.platform ~user:"shutter"));
   let c = login world "shutter" in
   ignore
-    (Client.post c "/app/core/photos"
+    (Browser.post c "/app/core/photos"
        ~form:[ ("action", "upload"); ("id", "pic"); ("data", "ABCDEFGHIJKLMNOP") ]);
-  let r = Client.post c "/app/core/photos" ~form:[ ("action", "thumb"); ("id", "pic") ] in
+  let r = Browser.post c "/app/core/photos" ~form:[ ("action", "thumb"); ("id", "pic") ] in
   check int_c "queued" 200 (status r);
-  check bool_c "confirmation" true (Client.saw c "thumbnail queued");
+  check bool_c "confirmation" true (Browser.saw c "thumbnail queued");
   (* nothing exists until the worker runs *)
   let c2 = login world "shutter" in
-  let r = Client.get c2 "/app/core/photos" ~params:[ ("action", "list") ] in
-  check bool_c "no thumb yet" false (Client.saw c2 "pic.thumb");
+  let r = Browser.get c2 "/app/core/photos" ~params:[ ("action", "list") ] in
+  check bool_c "no thumb yet" false (Browser.saw c2 "pic.thumb");
   ignore r;
   (* pump the worker: one job done *)
   check int_c "one job" 1 (ok_s' (W5_apps.Thumb_service.pump_for world.platform ~user:"shutter"));
   let c3 = login world "shutter" in
-  let r = Client.get c3 "/app/core/photos" ~params:[ ("action", "list") ] in
-  check bool_c "thumb listed" true (Client.saw c3 "pic.thumb");
+  let r = Browser.get c3 "/app/core/photos" ~params:[ ("action", "list") ] in
+  check bool_c "thumb listed" true (Browser.saw c3 "pic.thumb");
   ignore r;
   let r =
-    Client.get c3 "/app/core/photos"
+    Browser.get c3 "/app/core/photos"
       ~params:[ ("action", "view"); ("user", "shutter"); ("id", "pic.thumb") ]
   in
   check int_c "thumb viewable" 200 (status r);
-  check bool_c "rendered" true (Client.saw c3 "ABCDEFGH~thumb");
+  check bool_c "rendered" true (Browser.saw c3 "ABCDEFGH~thumb");
   (* the worker holds no standing write privilege: a request without
      write delegation queues a job the worker cannot complete *)
   let account = Platform.account_exn world.platform "shutter" in
   Policy.revoke_write account.Account.policy "core/photos";
   let c4 = login world "shutter" in
-  ignore (Client.post c4 "/app/core/photos" ~form:[ ("action", "thumb"); ("id", "pic") ]);
+  ignore (Browser.post c4 "/app/core/photos" ~form:[ ("action", "thumb"); ("id", "pic") ]);
   ignore (W5_apps.Thumb_service.pump_for world.platform ~user:"shutter");
   (* no crash, no new write: pic.thumb still holds the old rendering *)
   let r =
-    Client.get c4 "/app/core/photos"
+    Browser.get c4 "/app/core/photos"
       ~params:[ ("action", "view"); ("user", "shutter"); ("id", "pic.thumb") ]
   in
   check int_c "still served" 200 (status r)
@@ -1245,33 +1245,33 @@ let test_group_app_wall () =
   (* the founder posts over HTTP *)
   let fc = login world "gfound" in
   let r =
-    Client.post fc "/app/core/groups"
+    Browser.post fc "/app/core/groups"
       ~form:[ ("action", "post"); ("group", "hikers"); ("id", "p1");
               ("body", "TRAILHEAD-7AM") ]
   in
   check int_c "posted" 200 (status r);
   (* a member reads the wall *)
   let mc = login world "gmem" in
-  let r = Client.get mc "/app/core/groups" ~params:[ ("action", "wall"); ("group", "hikers") ] in
+  let r = Browser.get mc "/app/core/groups" ~params:[ ("action", "wall"); ("group", "hikers") ] in
   check int_c "member wall" 200 (status r);
-  check bool_c "post visible" true (Client.saw mc "TRAILHEAD-7AM");
+  check bool_c "post visible" true (Browser.saw mc "TRAILHEAD-7AM");
   (* membership listing *)
-  let r = Client.get mc "/app/core/groups" in
-  check bool_c "lists hikers" true (Client.saw mc "hikers");
+  let r = Browser.get mc "/app/core/groups" in
+  check bool_c "lists hikers" true (Browser.saw mc "hikers");
   ignore r;
   (* an outsider cannot read (denied at absorb) and cannot post *)
   let oc = login world "gout" in
-  let r = Client.get oc "/app/core/groups" ~params:[ ("action", "wall"); ("group", "hikers") ] in
+  let r = Browser.get oc "/app/core/groups" ~params:[ ("action", "wall"); ("group", "hikers") ] in
   check bool_c "outsider wall blocked" true
-    (status r <> 200 || not (Client.saw oc "TRAILHEAD-7AM"));
+    (status r <> 200 || not (Browser.saw oc "TRAILHEAD-7AM"));
   let r =
-    Client.post oc "/app/core/groups"
+    Browser.post oc "/app/core/groups"
       ~form:[ ("action", "post"); ("group", "hikers"); ("id", "spam"); ("body", "x") ]
   in
-  check bool_c "outsider cannot post" true (Client.saw oc "not a member");
+  check bool_c "outsider cannot post" true (Browser.saw oc "not a member");
   ignore r;
   (* outsider's own groups page is empty and harmless *)
-  let r = Client.get oc "/app/core/groups" in
+  let r = Browser.get oc "/app/core/groups" in
   check int_c "mine ok" 200 (status r);
   (* assert on this page alone: earlier *denial* pages legitimately
      name the tag (data-free), the membership page must not list it *)
@@ -1295,7 +1295,7 @@ let test_cross_user_view_through_module () =
   let bob_account = add_user world "bob" in
   let alice = login world "alice" in
   ignore
-    (Client.post alice "/app/core/photos"
+    (Browser.post alice "/app/core/photos"
        ~form:[ ("action", "upload"); ("id", "p"); ("data", "SHAREDPIXELS") ]);
   befriend world ~who:"alice" ~friend_name:"bob";
   install_friends_declassifier world "alice";
@@ -1306,18 +1306,18 @@ let test_cross_user_view_through_module () =
     ~module_id:"devB/crop";
   let bob = login world "bob" in
   let r =
-    Client.get bob "/app/core/photos"
+    Browser.get bob "/app/core/photos"
       ~params:[ ("action", "view"); ("user", "alice"); ("id", "p") ]
   in
   check int_c "framed cross-user view" 200 (status r);
-  check bool_c "framed output crossed" true (Client.saw bob "[[SHAREDPIXELS]]");
+  check bool_c "framed output crossed" true (Browser.saw bob "[[SHAREDPIXELS]]");
   (* a stranger with the same module choice gets nothing *)
   let eve_account = add_user world "eve2" in
   Policy.choose_module eve_account.Account.policy ~slot:"photo.crop"
     ~module_id:"devB/crop";
   let eve = login world "eve2" in
   let r =
-    Client.get eve "/app/core/photos"
+    Browser.get eve "/app/core/photos"
       ~params:[ ("action", "view"); ("user", "alice"); ("id", "p") ]
   in
   check int_c "stranger refused" 403 (status r)
@@ -1335,10 +1335,10 @@ let test_mashup_empty_addressbook () =
   let world = make_world () in
   ignore (add_user world "empty-amy");
   let c = login world "empty-amy" in
-  let r = Client.get c "/app/core/mashup" ~params:[ ("action", "map") ] in
+  let r = Browser.get c "/app/core/mashup" ~params:[ ("action", "map") ] in
   (* no address book yet: an honest error page, not a crash *)
   check int_c "served" 200 (status r);
-  check bool_c "explains" true (Client.saw c "not found")
+  check bool_c "explains" true (Browser.saw c "not found")
 
 let test_calendar_free_week () =
   let world = make_world () in
@@ -1346,17 +1346,17 @@ let test_calendar_free_week () =
   ignore (add_user world "idle");
   ok_s (Platform.enable_app world.platform ~user:"idle" ~app:"core/calendar");
   let c = login world "idle" in
-  let r = Client.get c "/app/core/calendar" ~params:[ ("action", "week") ] in
+  let r = Browser.get c "/app/core/calendar" ~params:[ ("action", "week") ] in
   check int_c "week" 200 (status r);
-  check bool_c "all free" true (Client.saw c "free")
+  check bool_c "all free" true (Browser.saw c "free")
 
 let test_thief_on_missing_target () =
   let world = make_world () in
   ignore (add_user world "mallory2");
   let c = login world "mallory2" in
-  let r = Client.get c "/app/mal/thief" ~params:[ ("target", "ghost") ] in
+  let r = Browser.get c "/app/mal/thief" ~params:[ ("target", "ghost") ] in
   check int_c "thief on ghost" 200 (status r);
-  check bool_c "nothing to steal" true (Client.saw c "could not even read")
+  check bool_c "nothing to steal" true (Browser.saw c "could not even read")
 
 let suite =
   suite

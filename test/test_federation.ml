@@ -548,10 +548,10 @@ let test_takeout_app () =
   let dev = W5_difc.Principal.make W5_difc.Principal.Developer "provider" in
   ignore (ok_s (Migrate.publish_takeout_app platform ~dev));
   ignore (ok_s (Platform.enable_app platform ~user:"zoe" ~app:"provider/takeout"));
-  let zoe = W5_http.Client.make ~name:"zoe" (Gateway.handler platform) in
+  let zoe = Browser.make ~name:"zoe" (Gateway.handler platform) in
   ignore
-    (W5_http.Client.post zoe "/login" ~form:[ ("user", "zoe"); ("pass", "pw") ]);
-  let r = W5_http.Client.get zoe "/app/provider/takeout" in
+    (Browser.post zoe "/login" ~form:[ ("user", "zoe"); ("pass", "pw") ]);
+  let r = Browser.get zoe "/app/provider/takeout" in
   check int_c "bundle served to owner" 200
     (W5_http.Response.status_code r.W5_http.Response.status);
   (* the body round-trips as a bundle containing her photos *)
@@ -564,14 +564,14 @@ let test_takeout_app () =
      *viewer's* data, so mallory just gets mallory's *)
   ignore (ok_s (Platform.signup platform ~user:"mallory" ~password:"pw"));
   ignore (ok_s (Platform.enable_app platform ~user:"mallory" ~app:"provider/takeout"));
-  let mallory = W5_http.Client.make ~name:"mallory" (Gateway.handler platform) in
+  let mallory = Browser.make ~name:"mallory" (Gateway.handler platform) in
   ignore
-    (W5_http.Client.post mallory "/login" ~form:[ ("user", "mallory"); ("pass", "pw") ]);
-  let r = W5_http.Client.get mallory "/app/provider/takeout" in
+    (Browser.post mallory "/login" ~form:[ ("user", "mallory"); ("pass", "pw") ]);
+  let r = Browser.get mallory "/app/provider/takeout" in
   check int_c "mallory gets own bundle" 200
     (W5_http.Response.status_code r.W5_http.Response.status);
   check bool_c "no zoe data inside" false
-    (W5_http.Client.saw mallory "sailor")
+    (Browser.saw mallory "sailor")
 
 let suite =
   suite @ [ Alcotest.test_case "takeout app" `Quick test_takeout_app ]

@@ -137,13 +137,13 @@ let test_client_cookies_and_redirects () =
         | None -> Response.unauthorized "no cookie")
     | _ -> Response.not_found "?"
   in
-  let client = Client.make ~name:"tester" server in
-  ignore (Client.get client "/login");
+  let client = Browser.make ~name:"tester" server in
+  ignore (Browser.get client "/login");
   check (Alcotest.option string_c) "jar" (Some "s1")
-    (List.assoc_opt "sid" (Client.cookies client));
-  let r = Client.get client "/bounce" in
+    (List.assoc_opt "sid" (Browser.cookies client));
+  let r = Browser.get client "/bounce" in
   check string_c "followed redirect with cookie" "hello s1" r.Response.body;
-  check bool_c "history" true (Client.saw client "hello s1")
+  check bool_c "history" true (Browser.saw client "hello s1")
 
 let test_client_redirect_loop_bounded () =
   let server (req : Request.t) =

@@ -27,9 +27,9 @@ let setup () =
   (platform, alice, bob, charlie)
 
 let login_client platform user =
-  let client = Client.make ~name:user (Gateway.handler platform) in
+  let client = Browser.make ~name:user (Gateway.handler platform) in
   let response =
-    Client.post client "/login"
+    Browser.post client "/login"
       ~form:[ ("user", user); ("pass", user ^ "-pw") ]
   in
   check bool_c (user ^ " login ok") true (Response.is_success response);
@@ -48,9 +48,9 @@ let test_owner_sees_own_profile () =
   let platform, _alice, _bob, _charlie = setup () in
   enable_and_delegate platform "alice";
   let alice = login_client platform "alice" in
-  let response = Client.get alice ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  let response = Browser.get alice ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "status" 200 (Response.status_code response.Response.status);
-  check bool_c "profile shown" true (Client.saw alice "alice")
+  check bool_c "profile shown" true (Browser.saw alice "alice")
 
 let test_friend_declassifier_allows_friend () =
   let platform, alice_acct, _bob, _charlie = setup () in
@@ -60,13 +60,13 @@ let test_friend_declassifier_allows_friend () =
   (* Alice marks a recognizable secret and befriends Bob. *)
   let alice = login_client platform "alice" in
   let r =
-    Client.post alice ("/app/" ^ app_id)
+    Browser.post alice ("/app/" ^ app_id)
       ~form:
         [ ("action", "set_profile"); ("field", "music"); ("value", "SECRET-JAZZ") ]
   in
   check int_c "set_profile" 200 (Response.status_code r.Response.status);
   let r =
-    Client.post alice ("/app/" ^ app_id)
+    Browser.post alice ("/app/" ^ app_id)
       ~form:[ ("action", "add_friend"); ("friend", "bob") ]
   in
   check int_c "add_friend" 200 (Response.status_code r.Response.status);
@@ -75,17 +75,17 @@ let test_friend_declassifier_allows_friend () =
        ~name:"friends" Declassifier.friends_only);
   (* Bob (a friend) sees the page; Charlie does not; anonymous does not. *)
   let bob = login_client platform "bob" in
-  let r = Client.get bob ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  let r = Browser.get bob ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "bob status" 200 (Response.status_code r.Response.status);
-  check bool_c "bob sees secret" true (Client.saw bob "SECRET-JAZZ");
+  check bool_c "bob sees secret" true (Browser.saw bob "SECRET-JAZZ");
   let charlie = login_client platform "charlie" in
-  let r = Client.get charlie ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  let r = Browser.get charlie ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "charlie status" 403 (Response.status_code r.Response.status);
-  check bool_c "charlie blind" false (Client.saw charlie "SECRET-JAZZ");
-  let anon = Client.make (Gateway.handler platform) in
-  let r = Client.get anon ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  check bool_c "charlie blind" false (Browser.saw charlie "SECRET-JAZZ");
+  let anon = Browser.make (Gateway.handler platform) in
+  let r = Browser.get anon ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "anon status" 403 (Response.status_code r.Response.status);
-  check bool_c "anon blind" false (Client.saw anon "SECRET-JAZZ")
+  check bool_c "anon blind" false (Browser.saw anon "SECRET-JAZZ")
 
 let test_boilerplate_blocks_without_declassifier () =
   let platform, _alice, _bob, _charlie = setup () in
@@ -93,12 +93,12 @@ let test_boilerplate_blocks_without_declassifier () =
   enable_and_delegate platform "bob";
   let alice = login_client platform "alice" in
   let _ =
-    Client.post alice ("/app/" ^ app_id)
+    Browser.post alice ("/app/" ^ app_id)
       ~form:[ ("action", "add_friend"); ("friend", "bob") ]
   in
   (* No declassifier installed: even the friend is refused. *)
   let bob = login_client platform "bob" in
-  let r = Client.get bob ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  let r = Browser.get bob ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "bob refused" 403 (Response.status_code r.Response.status)
 
 let suite =
@@ -115,32 +115,32 @@ let suite =
 
 let test_signup_over_http () =
   let platform, _, _, _ = setup () in
-  let client = Client.make ~name:"newbie" (Gateway.handler platform) in
+  let client = Browser.make ~name:"newbie" (Gateway.handler platform) in
   let r =
-    Client.post client "/signup" ~form:[ ("user", "newbie"); ("pass", "pw") ]
+    Browser.post client "/signup" ~form:[ ("user", "newbie"); ("pass", "pw") ]
   in
   check int_c "signup" 200 (Response.status_code r.Response.status);
   check bool_c "session cookie set" true
-    (List.mem_assoc Session.cookie_name (Client.cookies client));
+    (List.mem_assoc Session.cookie_name (Browser.cookies client));
   (* duplicate signup rejected *)
-  let other = Client.make (Gateway.handler platform) in
-  let r = Client.post other "/signup" ~form:[ ("user", "newbie"); ("pass", "x") ] in
+  let other = Browser.make (Gateway.handler platform) in
+  let r = Browser.post other "/signup" ~form:[ ("user", "newbie"); ("pass", "x") ] in
   check int_c "duplicate" 400 (Response.status_code r.Response.status)
 
 let test_invitation_flow () =
   let platform, _, _, _ = setup () in
   let bob = login_client platform "bob" in
   (* not yet enabled: the gateway shows the invitation, not the app *)
-  let r = Client.get bob ("/app/" ^ app_id) ~params:[ ("user", "bob") ] in
+  let r = Browser.get bob ("/app/" ^ app_id) ~params:[ ("user", "bob") ] in
   check int_c "prompt" 200 (Response.status_code r.Response.status);
-  check bool_c "invited" true (Client.saw bob "accept the invitation");
+  check bool_c "invited" true (Browser.saw bob "accept the invitation");
   (* one click *)
-  let r = Client.post bob "/enable" ~form:[ ("app", app_id) ] in
+  let r = Browser.post bob "/enable" ~form:[ ("app", app_id) ] in
   check int_c "enabled" 200 (Response.status_code r.Response.status);
   let account = Platform.account_exn platform "bob" in
   Policy.delegate_write account.Account.policy app_id;
-  let r = Client.get bob ("/app/" ^ app_id) ~params:[ ("user", "bob") ] in
-  check bool_c "app now runs" true (Client.saw bob "bob's profile" || Client.saw bob "friends");
+  let r = Browser.get bob ("/app/" ^ app_id) ~params:[ ("user", "bob") ] in
+  check bool_c "app now runs" true (Browser.saw bob "bob's profile" || Browser.saw bob "friends");
   ignore r;
   (* install counter ticked exactly once *)
   check int_c "installs" 1 (App_registry.installs (Platform.registry platform) app_id)
@@ -164,17 +164,17 @@ let test_version_pinning () =
   | Error e -> Alcotest.fail e);
   let alice = login_client platform "alice" in
   (* latest by default *)
-  let _ = Client.get alice "/app/vdev/tool" in
-  check bool_c "latest" true (Client.saw alice "version-two");
+  let _ = Browser.get alice "/app/vdev/tool" in
+  check bool_c "latest" true (Browser.saw alice "version-two");
   (* explicit query parameter *)
-  let _ = Client.get alice "/app/vdev/tool" ~params:[ ("version", "1.0") ] in
-  check bool_c "explicit" true (Client.saw alice "version-one");
+  let _ = Browser.get alice "/app/vdev/tool" ~params:[ ("version", "1.0") ] in
+  check bool_c "explicit" true (Browser.saw alice "version-one");
   (* sticky pin via settings *)
   let _ =
-    Client.get alice "/settings"
+    Browser.get alice "/settings"
       ~params:[ ("action", "pin"); ("app", "vdev/tool"); ("version", "1.0") ]
   in
-  let r = Client.get alice "/app/vdev/tool" in
+  let r = Browser.get alice "/app/vdev/tool" in
   check string_c "pinned" "version-one" r.Response.body
 
 (* ---- client-side script filtering (E9) ---- *)
@@ -194,15 +194,15 @@ let test_javascript_stripped_by_default () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let alice = login_client platform "alice" in
-  let r = Client.get alice "/app/jsdev/shiny" in
+  let r = Browser.get alice "/app/jsdev/shiny" in
   check int_c "served" 200 (Response.status_code r.Response.status);
-  check bool_c "script stripped" false (Client.saw alice "<script>");
-  check bool_c "content kept" true (Client.saw alice "<p>fine</p>");
+  check bool_c "script stripped" false (Browser.saw alice "<script>");
+  check bool_c "content kept" true (Browser.saw alice "<p>fine</p>");
   (* opting in keeps the script (MashupOS-style relaxation) *)
   let _ =
-    Client.get alice "/settings" ~params:[ ("action", "allow_js"); ("value", "on") ]
+    Browser.get alice "/settings" ~params:[ ("action", "allow_js"); ("value", "on") ]
   in
-  let r = Client.get alice "/app/jsdev/shiny" in
+  let r = Browser.get alice "/app/jsdev/shiny" in
   check bool_c "script kept after opt-in" true
     (let body = r.Response.body in
      String.length body >= 8
@@ -238,19 +238,19 @@ let test_read_protection_end_to_end () =
     [ "alice"; "bob" ];
   (* without a read grant the app cannot even open the file *)
   let bob = login_client platform "bob" in
-  let _ = Client.get bob "/app/snoopdev/snoop" in
-  check bool_c "read denied" true (Client.saw bob "DENIED:");
+  let _ = Browser.get bob "/app/snoopdev/snoop" in
+  check bool_c "read denied" true (Browser.saw bob "DENIED:");
   (* alice grants the app read: it reads, but export to bob is still
      impossible *)
   Policy.grant_read alice_acct.Account.policy "snoopdev/snoop";
   let bob2 = login_client platform "bob" in
-  let r = Client.get bob2 "/app/snoopdev/snoop" in
+  let r = Browser.get bob2 "/app/snoopdev/snoop" in
   check int_c "export still refused" 403 (Response.status_code r.Response.status);
   (* alice, with the grant, gets her own data back *)
   Policy.grant_read alice_acct.Account.policy "snoopdev/snoop";
   let alice = login_client platform "alice" in
-  let _ = Client.get alice "/app/snoopdev/snoop" in
-  check bool_c "owner reads" true (Client.saw alice "GOT:")
+  let _ = Browser.get alice "/app/snoopdev/snoop" in
+  check bool_c "owner reads" true (Browser.saw alice "GOT:")
 
 (* ---- fork + one-click migration (E11) ---- *)
 
@@ -259,7 +259,7 @@ let test_fork_and_migrate () =
   enable_and_delegate platform "alice";
   let alice = login_client platform "alice" in
   let _ =
-    Client.post alice ("/app/" ^ app_id)
+    Browser.post alice ("/app/" ^ app_id)
       ~form:[ ("action", "set_profile"); ("field", "motto"); ("value", "carpe-diem") ]
   in
   (* an independent developer forks the open-source social app *)
@@ -275,10 +275,10 @@ let test_fork_and_migrate () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let r =
-    Client.get alice "/app/indie/social-plus" ~params:[ ("user", "alice") ]
+    Browser.get alice "/app/indie/social-plus" ~params:[ ("user", "alice") ]
   in
   check int_c "fork serves" 200 (Response.status_code r.Response.status);
-  check bool_c "same data, zero re-upload" true (Client.saw alice "carpe-diem")
+  check bool_c "same data, zero re-upload" true (Browser.saw alice "carpe-diem")
 
 (* ---- developer debugging via the audit log (§3.5) ---- *)
 
@@ -299,22 +299,22 @@ let test_audit_route_shows_denials () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let bob = login_client platform "bob" in
-  let _ = Client.get bob "/app/buggydev/buggy" in
-  let r = Client.get bob "/audit" in
+  let _ = Browser.get bob "/app/buggydev/buggy" in
+  let r = Browser.get bob "/audit" in
   check int_c "audit served" 200 (Response.status_code r.Response.status);
-  check bool_c "denial listed" true (Client.saw bob "fs.write");
+  check bool_c "denial listed" true (Browser.saw bob "fs.write");
   (* the audit page never carries user data *)
-  check bool_c "no data in audit" false (Client.saw bob "oops")
+  check bool_c "no data in audit" false (Browser.saw bob "oops")
 
 let test_home_and_404 () =
   let platform, _, _, _ = setup () in
-  let client = Client.make (Gateway.handler platform) in
-  let r = Client.get client "/" in
+  let client = Browser.make (Gateway.handler platform) in
+  let r = Browser.get client "/" in
   check int_c "home" 200 (Response.status_code r.Response.status);
-  check bool_c "lists app" true (Client.saw client app_id);
-  let r = Client.get client "/no/such/route" in
+  check bool_c "lists app" true (Browser.saw client app_id);
+  let r = Browser.get client "/no/such/route" in
   check int_c "404" 404 (Response.status_code r.Response.status);
-  let r = Client.get client "/app/ghost/app" in
+  let r = Browser.get client "/app/ghost/app" in
   check int_c "ghost app 404" 404 (Response.status_code r.Response.status)
 
 let suite =
@@ -343,7 +343,7 @@ let test_dns_virtual_hosts () =
   let alice = login_client platform "alice" in
   (* the same app, reached through its vanity hostname *)
   let r =
-    Client.get alice "/"
+    Browser.get alice "/"
       ~params:[ ("user", "alice") ]
   in
   ignore r;
@@ -380,18 +380,18 @@ let test_logout_and_bad_login () =
   let platform, _, _, _ = setup () in
   enable_and_delegate platform "alice";
   let alice = login_client platform "alice" in
-  let r = Client.get alice ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  let r = Browser.get alice ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "logged in works" 200 (Response.status_code r.Response.status);
-  let r = Client.get alice "/logout" in
+  let r = Browser.get alice "/logout" in
   check int_c "logout" 200 (Response.status_code r.Response.status);
   (* the session is gone: now anonymous, alice's own page is refused *)
-  let r = Client.get alice ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  let r = Browser.get alice ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "post-logout anonymous" 403 (Response.status_code r.Response.status);
   (* bad credentials *)
-  let c = Client.make (Gateway.handler platform) in
-  let r = Client.post c "/login" ~form:[ ("user", "alice"); ("pass", "wrong") ] in
+  let c = Browser.make (Gateway.handler platform) in
+  let r = Browser.post c "/login" ~form:[ ("user", "alice"); ("pass", "wrong") ] in
   check int_c "bad login" 401 (Response.status_code r.Response.status);
-  let r = Client.post c "/login" ~form:[ ("user", "alice") ] in
+  let r = Browser.post c "/login" ~form:[ ("user", "alice") ] in
   check int_c "missing field" 400 (Response.status_code r.Response.status)
 
 let test_module_failure_surfaces () =
@@ -410,24 +410,24 @@ let test_module_failure_surfaces () =
     ~module_id:"ghost/crop";
   let alice = login_client platform "alice" in
   ignore
-    (Client.post alice "/app/pdev/photos"
+    (Browser.post alice "/app/pdev/photos"
        ~form:[ ("action", "upload"); ("id", "p"); ("data", "DATA") ]);
   let r =
-    Client.get alice "/app/pdev/photos"
+    Browser.get alice "/app/pdev/photos"
       ~params:[ ("action", "view"); ("user", "alice"); ("id", "p") ]
   in
   check int_c "still a page" 200 (Response.status_code r.Response.status);
-  check bool_c "error explained" true (Client.saw alice "crop module failed");
+  check bool_c "error explained" true (Browser.saw alice "crop module failed");
   (* and the platform still serves the next request *)
-  let r = Client.get alice "/app/pdev/photos" ~params:[ ("action", "list") ] in
+  let r = Browser.get alice "/app/pdev/photos" ~params:[ ("action", "list") ] in
   check int_c "alive" 200 (Response.status_code r.Response.status)
 
 let test_enable_unknown_app_rejected () =
   let platform, _, _, _ = setup () in
   let alice = login_client platform "alice" in
-  let r = Client.post alice "/enable" ~form:[ ("app", "ghost/app") ] in
+  let r = Browser.post alice "/enable" ~form:[ ("app", "ghost/app") ] in
   check int_c "rejected" 400 (Response.status_code r.Response.status);
-  let r = Client.post alice "/enable" ~form:[] in
+  let r = Browser.post alice "/enable" ~form:[] in
   check int_c "missing param" 400 (Response.status_code r.Response.status)
 
 let suite =
@@ -457,12 +457,12 @@ let test_audit_filter_param () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let bob = login_client platform "bob" in
-  ignore (Client.get bob "/app/fdev/noisy");
-  let c = Client.make (Gateway.handler platform) in
-  let r = Client.get c "/audit" ~params:[ ("filter", "fs.write") ] in
+  ignore (Browser.get bob "/app/fdev/noisy");
+  let c = Browser.make (Gateway.handler platform) in
+  let r = Browser.get c "/audit" ~params:[ ("filter", "fs.write") ] in
   check int_c "filtered" 200 (Response.status_code r.Response.status);
-  check bool_c "writes shown" true (Client.saw c "fs.write");
-  check bool_c "reads filtered out" false (Client.saw c "fs.read")
+  check bool_c "writes shown" true (Browser.saw c "fs.write");
+  check bool_c "reads filtered out" false (Browser.saw c "fs.read")
 
 let suite =
   suite @ [ Alcotest.test_case "audit filter param" `Quick test_audit_filter_param ]
@@ -473,26 +473,26 @@ let test_me_dashboard () =
   Policy.choose_module alice_acct.Account.policy ~slot:"photo.crop"
     ~module_id:"devA/crop";
   let alice = login_client platform "alice" in
-  let r = Client.get alice "/me" in
+  let r = Browser.get alice "/me" in
   check int_c "dashboard" 200 (Response.status_code r.Response.status);
-  check bool_c "shows enabled app" true (Client.saw alice app_id);
-  check bool_c "shows module choice" true (Client.saw alice "devA/crop");
-  check bool_c "shows js default" true (Client.saw alice "stripped");
+  check bool_c "shows enabled app" true (Browser.saw alice app_id);
+  check bool_c "shows module choice" true (Browser.saw alice "devA/crop");
+  check bool_c "shows js default" true (Browser.saw alice "stripped");
   (* anonymous has no dashboard *)
-  let anon = Client.make (Gateway.handler platform) in
-  let r = Client.get anon "/me" in
+  let anon = Browser.make (Gateway.handler platform) in
+  let r = Browser.get anon "/me" in
   check int_c "anon" 401 (Response.status_code r.Response.status)
 
 let test_session_expiry_platform () =
   let platform, _, _, _ = setup () in
   enable_and_delegate platform "alice";
   let alice = login_client platform "alice" in
-  let r = Client.get alice ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  let r = Browser.get alice ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "fresh session works" 200 (Response.status_code r.Response.status);
   (* time passes (the request above advanced the kernel clock);
      expiring with max_age 0 drops everything older than "now" *)
   ignore (Platform.expire_sessions platform ~max_age:0);
-  let r = Client.get alice ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  let r = Browser.get alice ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "expired session is anonymous" 403
     (Response.status_code r.Response.status)
 
@@ -516,23 +516,23 @@ let test_read_protected_profile_via_declassifier () =
      read grant before the app can touch her data at all *)
   let alice = login_client platform "alice" in
   let r =
-    Client.post alice ("/app/" ^ app_id)
+    Browser.post alice ("/app/" ^ app_id)
       ~form:[ ("action", "set_profile"); ("field", "blood_type"); ("value", "AB-NEG") ]
   in
   ignore r;
   check bool_c "app cannot even serve the owner without the grant" false
-    (Client.saw alice "profile updated: blood_type");
+    (Browser.saw alice "profile updated: blood_type");
   Policy.grant_read alice_acct.Account.policy app_id;
   ignore
-    (Client.post alice ("/app/" ^ app_id)
+    (Browser.post alice ("/app/" ^ app_id)
        ~form:[ ("action", "set_profile"); ("field", "blood_type"); ("value", "AB-NEG") ]);
   ignore
-    (Client.post alice ("/app/" ^ app_id)
+    (Browser.post alice ("/app/" ^ app_id)
        ~form:[ ("action", "add_friend"); ("friend", "bob") ]);
   (* the data is readable by the granted app, but bob still cannot
      receive it: no declassifier yet *)
   let bob = login_client platform "bob" in
-  let r = Client.get bob ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  let r = Browser.get bob ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "readable but not exportable" 403
     (Response.status_code r.Response.status);
   (* alice installs her declassifier: the gate clears both her plain
@@ -541,12 +541,12 @@ let test_read_protected_profile_via_declassifier () =
     (Declassifier.install_and_authorize platform ~account:alice_acct
        ~name:"friends" Declassifier.friends_only);
   let bob2 = login_client platform "bob" in
-  let r = Client.get bob2 ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  let r = Browser.get bob2 ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "friend view ok" 200 (Response.status_code r.Response.status);
-  check bool_c "content crossed" true (Client.saw bob2 "AB-NEG");
+  check bool_c "content crossed" true (Browser.saw bob2 "AB-NEG");
   (* charlie still blocked *)
   let charlie = login_client platform "charlie" in
-  let r = Client.get charlie ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  let r = Browser.get charlie ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "stranger blocked" 403 (Response.status_code r.Response.status)
 
 let test_enforcement_toggle () =
@@ -609,7 +609,7 @@ let test_nested_modules () =
   | Error e -> Alcotest.fail e);
   ignore alice_acct;
   let alice = login_client platform "alice" in
-  let r = Client.get alice "/app/nest/top" in
+  let r = Browser.get alice "/app/nest/top" in
   check int_c "nested" 200 (Response.status_code r.Response.status);
   check string_c "composition" "top{middle[leaf(42)]}" r.Response.body
 
@@ -617,7 +617,7 @@ let test_unknown_version_404 () =
   let platform, _, _, _ = setup () in
   enable_and_delegate platform "alice";
   let alice = login_client platform "alice" in
-  let r = Client.get alice ("/app/" ^ app_id) ~params:[ ("version", "9.9") ] in
+  let r = Browser.get alice ("/app/" ^ app_id) ~params:[ ("version", "9.9") ] in
   check int_c "unknown version" 404 (Response.status_code r.Response.status)
 
 let suite =
@@ -650,12 +650,12 @@ let test_vhost_respects_rate_limit () =
 
 let test_signup_then_me () =
   let platform, _, _, _ = setup () in
-  let c = Client.make ~name:"fresh" (Gateway.handler platform) in
-  ignore (Client.post c "/signup" ~form:[ ("user", "fresh"); ("pass", "pw") ]);
+  let c = Browser.make ~name:"fresh" (Gateway.handler platform) in
+  ignore (Browser.post c "/signup" ~form:[ ("user", "fresh"); ("pass", "pw") ]);
   (* the signup set a session cookie: /me works immediately *)
-  let r = Client.get c "/me" in
+  let r = Browser.get c "/me" in
   check int_c "dashboard right away" 200 (Response.status_code r.Response.status);
-  check bool_c "own name" true (Client.saw c "fresh")
+  check bool_c "own name" true (Browser.saw c "fresh")
 
 let suite =
   suite
@@ -706,23 +706,23 @@ let test_capstone_full_move () =
   let zoe_a = join provider_a "zoe" in
   ignore (join provider_a "ben");
   let login platform user =
-    let c = Client.make ~name:user (Gateway.handler platform) in
-    ignore (Client.post c "/login" ~form:[ ("user", user); ("pass", "pw") ]);
+    let c = Browser.make ~name:user (Gateway.handler platform) in
+    ignore (Browser.post c "/login" ~form:[ ("user", user); ("pass", "pw") ]);
     c
   in
   (* life on A *)
   let zc = login provider_a "zoe" in
   ignore
-    (Client.post zc "/app/core/social"
+    (Browser.post zc "/app/core/social"
        ~form:[ ("action", "set_profile"); ("field", "bio"); ("value", "SAILOR-BIO") ]);
   ignore
-    (Client.post zc "/app/core/social"
+    (Browser.post zc "/app/core/social"
        ~form:[ ("action", "add_friend"); ("friend", "ben") ]);
   ignore
-    (Client.post zc "/app/core/photos"
+    (Browser.post zc "/app/core/photos"
        ~form:[ ("action", "upload"); ("id", "boat"); ("data", "BOATPIXELS") ]);
   ignore
-    (Client.post zc "/app/core/calendar"
+    (Browser.post zc "/app/core/calendar"
        ~form:
          [ ("action", "add"); ("id", "regatta"); ("title", "SECRET-REGATTA");
            ("day", "6"); ("start", "9"); ("len", "3") ]);
@@ -730,9 +730,9 @@ let test_capstone_full_move () =
     (Declassifier.install_and_authorize provider_a ~account:zoe_a
        ~name:"busyfree" (Declassifier.redacting Declassifier.friends_only));
   let bc = login provider_a "ben" in
-  let r = Client.get bc "/app/core/calendar" ~params:[ ("action", "week"); ("user", "zoe") ] in
+  let r = Browser.get bc "/app/core/calendar" ~params:[ ("action", "week"); ("user", "zoe") ] in
   check int_c "ben sees A-side week" 200 (Response.status_code r.Response.status);
-  check bool_c "redacted on A" false (Client.saw bc "SECRET-REGATTA");
+  check bool_c "redacted on A" false (Browser.saw bc "SECRET-REGATTA");
   (* the move *)
   let zoe_b = join provider_b "zoe" in
   ignore (join provider_b "ben");
@@ -747,30 +747,30 @@ let test_capstone_full_move () =
   check bool_c "everything moved" true (moved >= 4);
   (* life on B, zero re-upload *)
   let zb = login provider_b "zoe" in
-  let r = Client.get zb "/app/core/social" ~params:[ ("user", "zoe") ] in
+  let r = Browser.get zb "/app/core/social" ~params:[ ("user", "zoe") ] in
   check int_c "profile on B" 200 (Response.status_code r.Response.status);
-  check bool_c "bio survived" true (Client.saw zb "SAILOR-BIO");
-  check bool_c "friends survived" true (Client.saw zb "ben");
+  check bool_c "bio survived" true (Browser.saw zb "SAILOR-BIO");
+  check bool_c "friends survived" true (Browser.saw zb "ben");
   let r =
-    Client.get zb "/app/core/photos"
+    Browser.get zb "/app/core/photos"
       ~params:[ ("action", "view"); ("user", "zoe"); ("id", "boat") ]
   in
   check int_c "photo on B" 200 (Response.status_code r.Response.status);
-  check bool_c "pixels survived" true (Client.saw zb "BOATPIXELS");
+  check bool_c "pixels survived" true (Browser.saw zb "BOATPIXELS");
   (* policies are per-platform: ben is blocked on B until zoe
      re-authorizes a declassifier there *)
   let bb = login provider_b "ben" in
-  let r = Client.get bb "/app/core/calendar" ~params:[ ("action", "week"); ("user", "zoe") ] in
+  let r = Browser.get bb "/app/core/calendar" ~params:[ ("action", "week"); ("user", "zoe") ] in
   check int_c "no declassifier on B yet" 403 (Response.status_code r.Response.status);
   ignore
     (Declassifier.install_and_authorize provider_b ~account:zoe_b
        ~name:"busyfree" (Declassifier.redacting Declassifier.friends_only));
   let bb2 = login provider_b "ben" in
-  let r = Client.get bb2 "/app/core/calendar" ~params:[ ("action", "week"); ("user", "zoe") ] in
+  let r = Browser.get bb2 "/app/core/calendar" ~params:[ ("action", "week"); ("user", "zoe") ] in
   check int_c "redeclared: ben sees B-side week" 200
     (Response.status_code r.Response.status);
-  check bool_c "slot visible on B" true (Client.saw bb2 "09:00-12:00");
-  check bool_c "still redacted on B" false (Client.saw bb2 "SECRET-REGATTA")
+  check bool_c "slot visible on B" true (Browser.saw bb2 "09:00-12:00");
+  check bool_c "still redacted on B" false (Browser.saw bb2 "SECRET-REGATTA")
 
 let suite =
   suite
@@ -801,13 +801,13 @@ let test_self_recursive_module_contained () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let alice = login_client platform "alice" in
-  let r = Client.get alice "/app/loopdev/ouroboros" in
+  let r = Browser.get alice "/app/loopdev/ouroboros" in
   (* killed by quota, not by a stack overflow crash *)
   check int_c "contained" 429 (Response.status_code r.Response.status);
   (* and the platform is still fine *)
   enable_and_delegate platform "alice";
   let alice2 = login_client platform "alice" in
-  let r = Client.get alice2 ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
+  let r = Browser.get alice2 ("/app/" ^ app_id) ~params:[ ("user", "alice") ] in
   check int_c "still serving" 200 (Response.status_code r.Response.status)
 
 let suite =

@@ -168,18 +168,15 @@ let run_case ?(with_declassifier = false) program =
   (match Platform.enable_app platform ~user:"mallory" ~app:"adv/adv" with
   | Ok () -> ()
   | Error e -> failwith e);
-  let mallory = Client.make ~name:"mallory" (Gateway.handler platform) in
-  ignore (Client.post mallory "/login" ~form:[ ("user", "mallory"); ("pass", "pw") ]);
-  ignore (Client.get mallory "/app/adv/adv");
-  let anon = Client.make (Gateway.handler platform) in
-  ignore (Client.get anon "/app/adv/adv");
+  let mallory = Browser.make ~name:"mallory" (Gateway.handler platform) in
+  ignore (Browser.post mallory "/login" ~form:[ ("user", "mallory"); ("pass", "pw") ]);
+  ignore (Browser.get mallory "/app/adv/adv");
+  let anon = Browser.make (Gateway.handler platform) in
+  ignore (Browser.get anon "/app/adv/adv");
   (* the oracle: nothing any outside client ever received contains the
      marker *)
   List.for_all
-    (fun client ->
-      List.for_all
-        (fun body -> not (contains body secret_marker))
-        (Client.last_bodies client))
+    (fun client -> not (Browser.saw client secret_marker))
     [ mallory; anon ]
 
 let prop_no_exfiltration =
@@ -216,11 +213,11 @@ let test_owner_still_sees_data () =
   (match Platform.enable_app platform ~user:"alice" ~app:"adv/adv" with
   | Ok () -> ()
   | Error e -> failwith e);
-  let owner = Client.make ~name:"alice" (Gateway.handler platform) in
-  ignore (Client.post owner "/login" ~form:[ ("user", "alice"); ("pass", "pw") ]);
-  ignore (Client.get owner "/app/adv/adv");
+  let owner = Browser.make ~name:"alice" (Gateway.handler platform) in
+  ignore (Browser.post owner "/login" ~form:[ ("user", "alice"); ("pass", "pw") ]);
+  ignore (Browser.get owner "/app/adv/adv");
   Alcotest.(check bool)
-    "owner receives own secret" true (Client.saw owner secret_marker)
+    "owner receives own secret" true (Browser.saw owner secret_marker)
 
 let suite =
   [ Alcotest.test_case "owner still sees data" `Quick test_owner_still_sees_data ]
@@ -340,13 +337,11 @@ let prop_no_exfiltration_read_protected =
       (match Platform.enable_app platform ~user:"mallory" ~app:"adv/adv" with
       | Ok () -> ()
       | Error e -> failwith e);
-      let mallory = Client.make ~name:"mallory" (Gateway.handler platform) in
+      let mallory = Browser.make ~name:"mallory" (Gateway.handler platform) in
       ignore
-        (Client.post mallory "/login" ~form:[ ("user", "mallory"); ("pass", "pw") ]);
-      ignore (Client.get mallory "/app/adv/adv");
-      List.for_all
-        (fun body -> not (contains body secret_marker))
-        (Client.last_bodies mallory))
+        (Browser.post mallory "/login" ~form:[ ("user", "mallory"); ("pass", "pw") ]);
+      ignore (Browser.get mallory "/app/adv/adv");
+      not (Browser.saw mallory secret_marker))
 
 let suite =
   suite @ [ QCheck_alcotest.to_alcotest prop_no_exfiltration_read_protected ]
@@ -425,13 +420,11 @@ let prop_group_wall_safe =
       (match Platform.enable_app platform ~user:"mallory" ~app:"adv/adv" with
       | Ok () -> ()
       | Error e -> failwith e);
-      let mallory = Client.make ~name:"mallory" (Gateway.handler platform) in
+      let mallory = Browser.make ~name:"mallory" (Gateway.handler platform) in
       ignore
-        (Client.post mallory "/login" ~form:[ ("user", "mallory"); ("pass", "pw") ]);
-      ignore (Client.get mallory "/app/adv/adv");
-      List.for_all
-        (fun body -> not (contains body group_marker))
-        (Client.last_bodies mallory))
+        (Browser.post mallory "/login" ~form:[ ("user", "mallory"); ("pass", "pw") ]);
+      ignore (Browser.get mallory "/app/adv/adv");
+      not (Browser.saw mallory group_marker))
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_group_wall_safe ]
 
@@ -509,9 +502,9 @@ let interleaved_run ~seed ~secret program =
   | Ok () -> ()
   | Error e -> failwith e);
   let login user =
-    let client = Client.make ~name:user (Gateway.handler platform) in
-    ignore (Client.post client "/login" ~form:[ ("user", user); ("pass", "pw") ]);
-    match Client.cookies client with
+    let client = Browser.make ~name:user (Gateway.handler platform) in
+    ignore (Browser.post client "/login" ~form:[ ("user", user); ("pass", "pw") ]);
+    match Browser.cookies client with
     | [] -> Headers.empty
     | jar ->
         Headers.set Headers.empty "Cookie"

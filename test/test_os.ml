@@ -1401,3 +1401,50 @@ let suite =
       Alcotest.test_case "cache metrics sync + canary" `Quick
         test_cache_metrics_sync_and_canary;
     ]
+
+(* ---- kernel-local state ---- *)
+
+(* Each kernel's value is a fresh cell holding the number of inits so
+   far. *)
+let inits = ref 0
+
+let counter =
+  Kernel.Local.key (fun () ->
+      incr inits;
+      ref !inits)
+
+let other = Kernel.Local.key (fun () -> "other")
+
+let test_local_once_per_kernel () =
+  let before = !inits in
+  let k1 = Kernel.create () and k2 = Kernel.create () in
+  let v1 = Kernel.Local.get k1 counter in
+  check bool_c "second get, same value" true (Kernel.Local.get k1 counter == v1);
+  check int_c "init ran once for k1" (before + 1) !inits;
+  let v2 = Kernel.Local.get k2 counter in
+  check int_c "init ran once for k2" (before + 2) !inits;
+  check bool_c "two kernels, two values" false (v1 == v2);
+  v1 := 100;
+  check int_c "k2 unaffected" (before + 2) !(Kernel.Local.get k2 counter);
+  check string_c "keys are independent" "other" (Kernel.Local.get k1 other);
+  check int_c "k1 value kept" 100 !(Kernel.Local.get k1 counter)
+
+let local_of_dropped_kernel key =
+  let value = Kernel.Local.get (Kernel.create ()) key in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some value);
+  w
+
+let test_local_collected_with_kernel () =
+  let w = Sys.opaque_identity (local_of_dropped_kernel counter) in
+  Gc.full_major ();
+  check bool_c "value collected" false (Weak.check w 0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "kernel-local: init once per kernel" `Quick
+        test_local_once_per_kernel;
+      Alcotest.test_case "kernel-local: collected with kernel" `Quick
+        test_local_collected_with_kernel;
+    ]

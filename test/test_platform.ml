@@ -322,51 +322,51 @@ let test_settings_routes () =
   let account = signup platform "erin" in
   let dev = Principal.make Principal.Developer "d" in
   ignore (ok_s (W5_apps.Social_app.publish platform ~dev));
-  let client = Client.make ~name:"erin" (Gateway.handler platform) in
-  let r = Client.post client "/login" ~form:[ ("user", "erin"); ("pass", "erin-pw") ] in
+  let client = Browser.make ~name:"erin" (Gateway.handler platform) in
+  let r = Browser.post client "/login" ~form:[ ("user", "erin"); ("pass", "erin-pw") ] in
   check bool_c "login" true (Response.is_success r);
   (* js opt-in *)
-  let r = Client.get client "/settings" ~params:[ ("action", "allow_js"); ("value", "on") ] in
+  let r = Browser.get client "/settings" ~params:[ ("action", "allow_js"); ("value", "on") ] in
   check bool_c "allow_js" true (Response.is_success r);
   check bool_c "policy updated" true (Policy.allow_javascript account.Account.policy);
   (* write delegation *)
   let r =
-    Client.get client "/settings"
+    Browser.get client "/settings"
       ~params:[ ("action", "delegate_write"); ("app", "d/social") ]
   in
   check bool_c "delegate" true (Response.is_success r);
   check bool_c "delegated" true (Policy.write_delegated account.Account.policy "d/social");
   (* declassifier choice requires a real gate *)
   let r =
-    Client.get client "/settings" ~params:[ ("action", "declassifier"); ("gate", "ghost") ]
+    Browser.get client "/settings" ~params:[ ("action", "declassifier"); ("gate", "ghost") ]
   in
   check int_c "bad gate rejected" 400 (Response.status_code r.Response.status);
   let gate =
     Declassifier.install platform ~account ~name:"friends" Declassifier.friends_only
   in
   let r =
-    Client.get client "/settings" ~params:[ ("action", "declassifier"); ("gate", gate) ]
+    Browser.get client "/settings" ~params:[ ("action", "declassifier"); ("gate", gate) ]
   in
   check bool_c "gate accepted" true (Response.is_success r);
   check (Alcotest.option string_c) "rule set" (Some gate)
     (Policy.declassifier_for account.Account.policy ~tag:account.Account.secret_tag);
   (* module choice + pin *)
   let r =
-    Client.get client "/settings"
+    Browser.get client "/settings"
       ~params:[ ("action", "module"); ("slot", "photo.crop"); ("module", "a/crop") ]
   in
   check bool_c "module" true (Response.is_success r);
   let r =
-    Client.get client "/settings"
+    Browser.get client "/settings"
       ~params:[ ("action", "pin"); ("app", "d/social"); ("version", "1.0") ]
   in
   check bool_c "pin" true (Response.is_success r);
   (* unknown action *)
-  let r = Client.get client "/settings" ~params:[ ("action", "wat") ] in
+  let r = Browser.get client "/settings" ~params:[ ("action", "wat") ] in
   check int_c "unknown action" 400 (Response.status_code r.Response.status);
   (* settings require login *)
-  let anon = Client.make (Gateway.handler platform) in
-  let r = Client.get anon "/settings" ~params:[ ("action", "allow_js") ] in
+  let anon = Browser.make (Gateway.handler platform) in
+  let r = Browser.get anon "/settings" ~params:[ ("action", "allow_js") ] in
   check int_c "anon unauthorized" 401 (Response.status_code r.Response.status)
 
 let test_source_route () =
@@ -374,11 +374,11 @@ let test_source_route () =
   let dev = Principal.make Principal.Developer "d" in
   ignore (ok_s (W5_apps.Social_app.publish platform ~dev));
   ignore (W5_apps.Malicious.publish_all platform ~dev);
-  let client = Client.make (Gateway.handler platform) in
-  let r = Client.get client "/source" ~params:[ ("app", "d/social") ] in
+  let client = Browser.make (Gateway.handler platform) in
+  let r = Browser.get client "/source" ~params:[ ("app", "d/social") ] in
   check bool_c "open source shown" true (Response.is_success r);
-  check bool_c "mentions reads" true (Client.saw client "tainting reads");
-  let r = Client.get client "/source" ~params:[ ("app", "d/thief") ] in
+  check bool_c "mentions reads" true (Browser.saw client "tainting reads");
+  let r = Browser.get client "/source" ~params:[ ("app", "d/thief") ] in
   check int_c "closed binary hidden" 404 (Response.status_code r.Response.status)
 
 let suite =
@@ -449,22 +449,22 @@ let test_invitations_over_http () =
   let dev = Principal.make Principal.Developer "d" in
   ignore (ok_s (W5_apps.Social_app.publish platform ~dev));
   let login name =
-    let c = Client.make ~name (Gateway.handler platform) in
-    ignore (Client.post c "/login" ~form:[ ("user", name); ("pass", name ^ "-pw") ]);
+    let c = Browser.make ~name (Gateway.handler platform) in
+    ignore (Browser.post c "/login" ~form:[ ("user", name); ("pass", name ^ "-pw") ]);
     c
   in
   let host = login "host" in
   let r =
-    Client.post host "/invite"
+    Browser.post host "/invite"
       ~form:[ ("to", "guest"); ("app", "d/social"); ("write", "on") ]
   in
   check int_c "invite sent" 200 (Response.status_code r.Response.status);
   let guest = login "guest" in
-  let r = Client.get guest "/invites" in
-  check bool_c "listed" true (Client.saw guest "host invites you to d/social");
+  let r = Browser.get guest "/invites" in
+  check bool_c "listed" true (Browser.saw guest "host invites you to d/social");
   ignore r;
   (* extract the id lazily: it is inv-1 in a fresh registry *)
-  let r = Client.post guest "/invite_accept" ~form:[ ("id", "inv-1") ] in
+  let r = Browser.post guest "/invite_accept" ~form:[ ("id", "inv-1") ] in
   check int_c "accepted" 200 (Response.status_code r.Response.status);
   let account = Platform.account_exn platform "guest" in
   check bool_c "enabled via http" true (Policy.app_enabled account.Account.policy "d/social")
@@ -487,17 +487,17 @@ let test_integrity_protection_vetting () =
           ~imports:[ "d/lib" ] handler));
   ignore (ok_s (Platform.enable_app platform ~user:"careful" ~app:"d/tool"));
   Policy.set_require_vetted user.Account.policy true;
-  let client = Client.make ~name:"careful" (Gateway.handler platform) in
-  ignore (Client.post client "/login" ~form:[ ("user", "careful"); ("pass", "careful-pw") ]);
+  let client = Browser.make ~name:"careful" (Gateway.handler platform) in
+  ignore (Browser.post client "/login" ~form:[ ("user", "careful"); ("pass", "careful-pw") ]);
   (* nothing vetted: refused *)
-  let r = Client.get client "/app/d/tool" in
+  let r = Browser.get client "/app/d/tool" in
   check int_c "unvetted refused" 403 (Response.status_code r.Response.status);
   (* vetting the app but not its import is not enough *)
   Platform.add_vetted platform "d/tool";
-  let r = Client.get client "/app/d/tool" in
+  let r = Browser.get client "/app/d/tool" in
   check int_c "import unvetted" 403 (Response.status_code r.Response.status);
   Platform.add_vetted platform "d/lib";
-  let r = Client.get client "/app/d/tool" in
+  let r = Browser.get client "/app/d/tool" in
   check int_c "fully vetted" 200 (Response.status_code r.Response.status);
   (* editors feed the vetted list *)
   Platform.set_vetted platform [];
@@ -506,12 +506,12 @@ let test_integrity_protection_vetting () =
   W5_rank.Editor.endorse editor ~app:"d/lib" ~reason:"audited";
   let n = W5_rank.Code_search.vet_platform ~editors:[ editor ] platform in
   check int_c "two vetted" 2 n;
-  let r = Client.get client "/app/d/tool" in
+  let r = Browser.get client "/app/d/tool" in
   check int_c "vetted via editor" 200 (Response.status_code r.Response.status);
   (* a flag retracts the vetting *)
   W5_rank.Editor.flag_antisocial editor ~app:"d/lib" ~reason:"gone bad";
   ignore (W5_rank.Code_search.vet_platform ~editors:[ editor ] platform);
-  let r = Client.get client "/app/d/tool" in
+  let r = Browser.get client "/app/d/tool" in
   check int_c "flagged import blocks again" 403 (Response.status_code r.Response.status)
 
 let suite =
@@ -637,11 +637,11 @@ let test_admin_report () =
   (match Platform.enable_app platform ~user:"mallory" ~app:"mal/thief" with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  let mallory = Client.make ~name:"mallory" (Gateway.handler platform) in
-  ignore (Client.post mallory "/login" ~form:[ ("user", "mallory"); ("pass", "mallory-pw") ]);
-  ignore (Client.get mallory "/app/mal/thief" ~params:[ ("target", "alice") ]);
-  ignore (Client.get mallory "/app/mal/thief" ~params:[ ("target", "alice") ]);
-  ignore (Client.get mallory "/app/mal/thief" ~params:[ ("target", "alice") ]);
+  let mallory = Browser.make ~name:"mallory" (Gateway.handler platform) in
+  ignore (Browser.post mallory "/login" ~form:[ ("user", "mallory"); ("pass", "mallory-pw") ]);
+  ignore (Browser.get mallory "/app/mal/thief" ~params:[ ("target", "alice") ]);
+  ignore (Browser.get mallory "/app/mal/thief" ~params:[ ("target", "alice") ]);
+  ignore (Browser.get mallory "/app/mal/thief" ~params:[ ("target", "alice") ]);
   let report = Admin.collect platform in
   check int_c "users" 2 report.Admin.users;
   check int_c "apps" 6 report.Admin.apps;
@@ -751,23 +751,23 @@ let test_group_export_follows_membership () =
     (fun user -> ok_s (Platform.enable_app platform ~user ~app:"gdev/wall"))
     [ "founder"; "member"; "outsider" ];
   let get user =
-    let c = Client.make ~name:user (Gateway.handler platform) in
-    ignore (Client.post c "/login" ~form:[ ("user", user); ("pass", user ^ "-pw") ]);
-    (c, Client.get c "/app/gdev/wall")
+    let c = Browser.make ~name:user (Gateway.handler platform) in
+    ignore (Browser.post c "/login" ~form:[ ("user", user); ("pass", user ^ "-pw") ]);
+    (c, Browser.get c "/app/gdev/wall")
   in
   (* members see the group page through the group declassifier *)
   let c, r = get "member" in
   check int_c "member gets page" 200 (Response.status_code r.Response.status);
-  check bool_c "content" true (Client.saw c "GROUP-SECRET");
+  check bool_c "content" true (Browser.saw c "GROUP-SECRET");
   (* the outsider's app process lacks t+: it cannot even read *)
   let c, r = get "outsider" in
   check int_c "outsider page is an error note" 200 (Response.status_code r.Response.status);
-  check bool_c "no secret" false (Client.saw c "GROUP-SECRET");
+  check bool_c "no secret" false (Browser.saw c "GROUP-SECRET");
   (* removal takes effect immediately *)
   ignore (ok_s (Group.remove_member platform group ~user:"member"));
   let c, r = get "member" in
   check bool_c "removed member blocked" true
-    (Response.status_code r.Response.status = 403 || not (Client.saw c "GROUP-SECRET"));
+    (Response.status_code r.Response.status = 403 || not (Browser.saw c "GROUP-SECRET"));
   (* the founder cannot be removed *)
   match Group.remove_member platform group ~user:"founder" with
   | Error _ -> ()
@@ -812,17 +812,17 @@ let test_per_app_limits () =
   (match Platform.enable_app platform ~user:"alice" ~app:"qdev/writer" with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  let alice = Client.make ~name:"alice" (Gateway.handler platform) in
-  ignore (Client.post alice "/login" ~form:[ ("user", "alice"); ("pass", "alice-pw") ]);
+  let alice = Browser.make ~name:"alice" (Gateway.handler platform) in
+  ignore (Browser.post alice "/login" ~form:[ ("user", "alice"); ("pass", "alice-pw") ]);
   (* default limits: a 1KB write is fine *)
-  let r = Client.get alice "/app/qdev/writer" ~params:[ ("n", "1024") ] in
+  let r = Browser.get alice "/app/qdev/writer" ~params:[ ("n", "1024") ] in
   check int_c "default ok" 200 (Response.status_code r.Response.status);
   (* the provider tightens this app's disk budget *)
   Platform.set_app_limits platform ~app:"qdev/writer"
     (W5_os.Resource.make_limits ~disk:100 ());
-  let r = Client.get alice "/app/qdev/writer" ~params:[ ("n", "1024") ] in
+  let r = Browser.get alice "/app/qdev/writer" ~params:[ ("n", "1024") ] in
   check int_c "tightened: killed by quota" 429 (Response.status_code r.Response.status);
-  let r = Client.get alice "/app/qdev/writer" ~params:[ ("n", "10") ] in
+  let r = Browser.get alice "/app/qdev/writer" ~params:[ ("n", "10") ] in
   check int_c "small write still fine" 200 (Response.status_code r.Response.status)
 
 let suite =
@@ -923,14 +923,14 @@ let test_group_routes () =
   ignore (signup platform "member");
   ignore (signup platform "mallory");
   let login name =
-    let c = Client.make ~name (Gateway.handler platform) in
-    ignore (Client.post c "/login" ~form:[ ("user", name); ("pass", name ^ "-pw") ]);
+    let c = Browser.make ~name (Gateway.handler platform) in
+    ignore (Browser.post c "/login" ~form:[ ("user", name); ("pass", name ^ "-pw") ]);
     c
   in
   let founder = login "founder" in
-  let r = Client.post founder "/group_create" ~form:[ ("name", "chess") ] in
+  let r = Browser.post founder "/group_create" ~form:[ ("name", "chess") ] in
   check int_c "create" 200 (Response.status_code r.Response.status);
-  let r = Client.post founder "/group_add" ~form:[ ("name", "chess"); ("user", "member") ] in
+  let r = Browser.post founder "/group_add" ~form:[ ("name", "chess"); ("user", "member") ] in
   check int_c "add member" 200 (Response.status_code r.Response.status);
   (match Group.find platform ~name:"chess" with
   | Some group ->
@@ -938,17 +938,17 @@ let test_group_routes () =
   | None -> Alcotest.fail "group lost");
   (* only the founder manages membership *)
   let mallory = login "mallory" in
-  let r = Client.post mallory "/group_add" ~form:[ ("name", "chess"); ("user", "mallory") ] in
+  let r = Browser.post mallory "/group_add" ~form:[ ("name", "chess"); ("user", "mallory") ] in
   check int_c "non-founder refused" 403 (Response.status_code r.Response.status);
   (* removal over HTTP *)
-  let r = Client.post founder "/group_remove" ~form:[ ("name", "chess"); ("user", "member") ] in
+  let r = Browser.post founder "/group_remove" ~form:[ ("name", "chess"); ("user", "member") ] in
   check int_c "remove" 200 (Response.status_code r.Response.status);
   (match Group.find platform ~name:"chess" with
   | Some group ->
       check bool_c "member gone" false (Group.is_member group ~user:"member")
   | None -> Alcotest.fail "group lost");
   (* duplicate create rejected *)
-  let r = Client.post founder "/group_create" ~form:[ ("name", "chess") ] in
+  let r = Browser.post founder "/group_create" ~form:[ ("name", "chess") ] in
   check int_c "duplicate" 400 (Response.status_code r.Response.status)
 
 let suite =
@@ -1117,9 +1117,9 @@ let test_admin_quota_kill_attribution () =
   ignore (W5_apps.Malicious.publish_all platform ~dev);
   (match Platform.enable_app platform ~user:"runner" ~app:"mal/hog" with
   | Ok () -> () | Error e -> Alcotest.fail e);
-  let c = Client.make ~name:"runner" (Gateway.handler platform) in
-  ignore (Client.post c "/login" ~form:[ ("user", "runner"); ("pass", "runner-pw") ]);
-  ignore (Client.get c "/app/mal/hog");
+  let c = Browser.make ~name:"runner" (Gateway.handler platform) in
+  ignore (Browser.post c "/login" ~form:[ ("user", "runner"); ("pass", "runner-pw") ]);
+  ignore (Browser.get c "/app/mal/hog");
   let report = Admin.collect platform in
   let hog = List.find (fun s -> s.Admin.app_id = "mal/hog") report.Admin.per_app in
   check bool_c "kill attributed" true (hog.Admin.quota_kills >= 1)
@@ -1365,6 +1365,88 @@ let test_slo_ledger_collected () =
   Gc.full_major ();
   check bool_c "ledger collected" false (Weak.check ledger 0)
 
+let weakly v =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some v);
+  fun () -> Weak.check w 0
+
+(* One of everything the platform's layers keep per platform in
+   kernel-local slots: a group, an invitation, a delivered email and a
+   thumbnail worker, with the kernel itself. *)
+let make_platform_state platform ~from_user ~to_user ~mail_app =
+  let founder = Platform.account_exn platform from_user in
+  let group = ok_s (Group.create platform ~founder ~name:"hikers") in
+  let invite =
+    ok_s
+      (Invite.send (Gateway.invites_of platform) platform ~from_user ~to_user
+         ~app:mail_app ())
+  in
+  let email =
+    ok_s
+      (Mailer.deliver_app_page platform ~user:from_user ~app:mail_app
+         ~query:[ ("user", from_user) ] ~subject:"digest" ())
+  in
+  let worker = ok_os (W5_apps.Thumb_service.install platform ~user:from_user) in
+  (group, invite, email, worker)
+
+let showcase () =
+  let society = W5_workload.Populate.build_showcase () in
+  match society.W5_workload.Populate.users with
+  | u0 :: u1 :: _ -> (society, u0, u1)
+  | _ -> Alcotest.fail "showcase has fewer than two users"
+
+let kernel_state_of_dropped_platform () =
+  let society, u0, u1 = showcase () in
+  let platform = society.W5_workload.Populate.platform in
+  let group, invite, email, worker =
+    make_platform_state platform ~from_user:u0 ~to_user:u1
+      ~mail_app:society.W5_workload.Populate.social_id
+  in
+  [
+    ("group", weakly group);
+    ("invite", weakly invite);
+    ("email", weakly email);
+    ("thumbnail worker", weakly worker);
+    ("kernel", weakly (Platform.kernel platform));
+  ]
+
+let test_kernel_state_collected () =
+  let held = Sys.opaque_identity (kernel_state_of_dropped_platform ()) in
+  Gc.full_major ();
+  List.iter
+    (fun (what, alive) -> check bool_c (what ^ " collected") false (alive ()))
+    held
+
+(* Two live platforms with the same user names: what one keeps per
+   platform, the other never sees. *)
+let test_kernel_state_isolated () =
+  let society_a, u0, u1 = showcase () in
+  let society_b, _, _ = showcase () in
+  let a = society_a.W5_workload.Populate.platform in
+  let b = society_b.W5_workload.Populate.platform in
+  let _, invite, email, worker =
+    make_platform_state a ~from_user:u0 ~to_user:u1
+      ~mail_app:society_a.W5_workload.Populate.social_id
+  in
+  let group_names p = List.map Group.name (Group.all p) in
+  check (Alcotest.list string_c) "a's groups" [ "book-club"; "hikers" ]
+    (group_names a);
+  check (Alcotest.list string_c) "b's groups" [ "book-club" ] (group_names b);
+  (match (Group.find a ~name:"book-club", Group.find b ~name:"book-club") with
+  | Some in_a, Some in_b -> check bool_c "same name, two groups" false (in_a == in_b)
+  | _ -> Alcotest.fail "showcase group missing");
+  let pending p = Invite.pending (Gateway.invites_of p) ~to_user:u1 in
+  check bool_c "invite pending on a" true (List.memq invite (pending a));
+  check int_c "no invite on b" 0 (List.length (pending b));
+  check bool_c "mail in a's outbox" true (List.memq email (Mailer.outbox a ~user:u0));
+  check int_c "b's outbox empty" 0 (Mailer.outbox_size b ~user:u0);
+  check bool_c "worker on a" true
+    (match W5_apps.Thumb_service.worker_for a ~user:u0 with
+    | Some w -> w == worker
+    | None -> false);
+  check bool_c "no worker on b" true
+    (Option.is_none (W5_apps.Thumb_service.worker_for b ~user:u0))
+
 (* ---- rate-limit eviction ---- *)
 
 (* The limiter with eviction must answer exactly like a table that
@@ -1449,6 +1531,10 @@ let suite =
         test_drained_friend_view_trace_shape;
       Alcotest.test_case "slo ledger collected with platform" `Quick
         test_slo_ledger_collected;
+      Alcotest.test_case "kernel-local state collected with platform" `Quick
+        test_kernel_state_collected;
+      Alcotest.test_case "kernel-local state isolated between platforms"
+        `Quick test_kernel_state_isolated;
       QCheck_alcotest.to_alcotest prop_rate_limit_matches_model;
       Alcotest.test_case "rate limit bounded under distinct clients" `Quick
         test_rate_limit_bounded;

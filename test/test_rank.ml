@@ -360,31 +360,31 @@ let test_editor_app () =
   (match Platform.signup platform ~user:"fan" ~password:"pw" with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  let anon = W5_http.Client.make (W5_platform.Gateway.handler platform) in
+  let anon = Browser.make (W5_platform.Gateway.handler platform) in
   (* the index and detail pages are public *)
-  let r = W5_http.Client.get anon "/app/provider/editors" in
+  let r = Browser.get anon "/app/provider/editors" in
   check int_c "index" 200 (W5_http.Response.status_code r.W5_http.Response.status);
   check bool_c "lists both" true
-    (W5_http.Client.saw anon "weekly" && W5_http.Client.saw anon "monthly");
-  let r = W5_http.Client.get anon "/app/provider/editors" ~params:[ ("editor", "weekly") ] in
+    (Browser.saw anon "weekly" && Browser.saw anon "monthly");
+  let r = Browser.get anon "/app/provider/editors" ~params:[ ("editor", "weekly") ] in
   check int_c "detail" 200 (W5_http.Response.status_code r.W5_http.Response.status);
-  check bool_c "endorsement shown" true (W5_http.Client.saw anon "a/good");
-  check bool_c "flag shown" true (W5_http.Client.saw anon "a/bad");
+  check bool_c "endorsement shown" true (Browser.saw anon "a/good");
+  check bool_c "flag shown" true (Browser.saw anon "a/bad");
   (* subscribing needs a login and moves reputation *)
   let r =
-    W5_http.Client.post anon "/app/provider/editors"
+    Browser.post anon "/app/provider/editors"
       ~form:[ ("action", "subscribe"); ("editor", "weekly") ]
   in
-  check bool_c "anon cannot subscribe" true (W5_http.Client.saw anon "please log in");
+  check bool_c "anon cannot subscribe" true (Browser.saw anon "please log in");
   ignore r;
-  let fan = W5_http.Client.make ~name:"fan" (W5_platform.Gateway.handler platform) in
-  ignore (W5_http.Client.post fan "/login" ~form:[ ("user", "fan"); ("pass", "pw") ]);
+  let fan = Browser.make ~name:"fan" (W5_platform.Gateway.handler platform) in
+  ignore (Browser.post fan "/login" ~form:[ ("user", "fan"); ("pass", "pw") ]);
   (match Platform.enable_app platform ~user:"fan" ~app:"provider/editors" with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let before = Editor.reputation e1 in
   let r =
-    W5_http.Client.post fan "/app/provider/editors"
+    Browser.post fan "/app/provider/editors"
       ~form:[ ("action", "subscribe"); ("editor", "weekly") ]
   in
   check int_c "subscribed" 200 (W5_http.Response.status_code r.W5_http.Response.status);

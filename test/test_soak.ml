@@ -91,15 +91,21 @@ let test_soak ~seed () =
   let outcome = Trace.replay society actions in
   check int_c "no unexpected failures" 0 outcome.Trace.failed;
   check bool_c "mostly served" true (outcome.Trace.ok > 400);
-  (* interleave thief probes from every user against random targets *)
+  (* interleave thief probes from every user against random targets,
+     from browsers that keep every body they receive *)
   let clients =
-    List.map (fun u -> (u, Populate.login society u)) society.Populate.users
+    List.map
+      (fun user ->
+        ( user,
+          Browser.login (Gateway.handler platform) ~user
+            ~password:(Populate.password user) ))
+      society.Populate.users
   in
   List.iter
     (fun (user, client) ->
       let target = Rng.pick rng society.Populate.users in
       if target <> user then
-        ignore (Client.get client "/app/mal/thief" ~params:[ ("target", target) ]))
+        ignore (Browser.get client "/app/mal/thief" ~params:[ ("target", target) ]))
     clients;
   (* INVARIANT: nobody ever saw a canary that is not their own, unless
      its owner's friends-only declassifier approved them *)
@@ -117,7 +123,7 @@ let test_soak ~seed () =
             check bool_c
               (Printf.sprintf "%s never saw %s's canary" viewer owner)
               false
-              (Client.saw client (canary owner)))
+              (Browser.saw client (canary owner)))
         society.Populate.users)
     clients;
   (* INVARIANT: no bottom-labeled file anywhere contains a canary *)

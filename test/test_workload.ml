@@ -67,14 +67,17 @@ let test_society_build_invariants () =
   check int_c "users" 5 (List.length society.Populate.users);
   (* everyone can log in and list their own photo *)
   let u = List.hd society.Populate.users in
-  let c = Populate.login society u in
+  let c =
+    Browser.login (W5_platform.Gateway.handler society.Populate.platform) ~user:u
+      ~password:(Populate.password u)
+  in
   let r =
-    W5_http.Client.get c
+    Browser.get c
       ("/app/" ^ society.Populate.photo_id)
       ~params:[ ("action", "list"); ("user", u) ]
   in
   check int_c "photo list" 200 (W5_http.Response.status_code r.W5_http.Response.status);
-  check bool_c "photo seeded" true (W5_http.Client.saw c "p00")
+  check bool_c "photo seeded" true (Browser.saw c "p00")
 
 let test_trace_generate_and_replay () =
   let society =
