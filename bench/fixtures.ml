@@ -7,7 +7,7 @@
    and this is most of their wall-clock.
 
    Fixtures shared by several groups live here exactly once
-   (societies, the seeded query/index kernels, sync pair builder,
+   (societies, the seeded query kernel, sync pair builder,
    dependency graphs) — the duplication these hoist used to be spread
    over the group sections of main.ml. *)
 
@@ -161,51 +161,6 @@ let query_kernel_l =
      kernel)
 
 let query_kernel () = Lazy.force query_kernel_l
-
-(* ---- seeded indexed collections (query-index) ---- *)
-
-let index_sizes = [ 10; 100; 1000; 10000 ]
-let index_collection n = Printf.sprintf "qi%d" n
-
-let index_kernel_l =
-  lazy
-    (let kernel = W5_os.Kernel.create () in
-     let seed = spawn_on kernel "seed" in
-     (match W5_store.Obj_store.init seed with
-     | Ok () -> ()
-     | Error _ -> assert false);
-     List.iter
-       (fun n ->
-         let collection = index_collection n in
-         (match
-            W5_store.Obj_store.create_collection seed collection
-              ~labels:Flow.bottom
-          with
-         | Ok () -> ()
-         | Error _ -> assert false);
-         W5_store.Index.declare seed ~collection ~field:"u"
-           W5_store.Index.Equality;
-         W5_store.Index.declare seed ~collection ~field:"score"
-           W5_store.Index.Int_order;
-         List.iter
-           (fun i ->
-             match
-               W5_store.Obj_store.put seed ~collection
-                 ~id:(Printf.sprintf "r%05d" i)
-                 ~labels:Flow.bottom
-                 (W5_store.Record.of_fields
-                    [
-                      ("u", Printf.sprintf "u%d" (i mod max 1 (n / 10)));
-                      ("score", string_of_int i);
-                    ])
-             with
-             | Ok () -> ()
-             | Error _ -> assert false)
-           (List.init n Fun.id))
-       index_sizes;
-     kernel)
-
-let index_kernel () = Lazy.force index_kernel_l
 
 (* ---- dependency graphs (pagerank, rank-ablation) ---- *)
 

@@ -225,80 +225,6 @@ let bench_query () =
        F.query_sizes)
 
 (* ------------------------------------------------------------------ *)
-(* query-index: indexed vs scanning selects                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Collections sized 10..10k where "u" takes n/10 distinct values (so
-   an equality hit returns ~10 rows) and "score" is the row number (so
-   a range query over the top 10 also returns 10). The planner serves
-   both from the index; [~use_index:false] is the scan baseline. *)
-let bench_query_index () =
-  let kernel = F.index_kernel () in
-  Test.make_grouped ~name:"query-index"
-    (List.concat_map
-       (fun n ->
-         let collection = F.index_collection n in
-         let eq = W5_store.Query.field_equals "u" "u1" in
-         let range = W5_store.Query.field_int_at_least "score" (n - 10) in
-         [
-           Test.make
-             ~name:(Printf.sprintf "indexed-eq-%d" n)
-             (staged (fun () ->
-                  W5_store.Query.select (F.spawn_on kernel "q") ~collection
-                    ~where:eq));
-           Test.make
-             ~name:(Printf.sprintf "scan-eq-%d" n)
-             (staged (fun () ->
-                  W5_store.Query.select ~use_index:false
-                    (F.spawn_on kernel "q") ~collection ~where:eq));
-           Test.make
-             ~name:(Printf.sprintf "indexed-range-%d" n)
-             (staged (fun () ->
-                  W5_store.Query.select (F.spawn_on kernel "q") ~collection
-                    ~where:range));
-           Test.make
-             ~name:(Printf.sprintf "scan-range-%d" n)
-             (staged (fun () ->
-                  W5_store.Query.select ~use_index:false
-                    (F.spawn_on kernel "q") ~collection ~where:range));
-         ])
-       F.index_sizes)
-
-(* The headline number (rows actually visited, not wall time), printed
-   from the counters so BENCH output shows the O(result)-vs-
-   O(collection) gap directly. *)
-let report_rows_scanned () =
-  let kernel = F.index_kernel () in
-  let metric =
-    W5_obs.Metrics.counter
-      (W5_os.Kernel.metrics kernel)
-      "w5_store_rows_scanned_total" ~help:"Rows visited by store queries"
-  in
-  let rows_visited_by f =
-    let before = W5_obs.Metrics.value metric in
-    f ();
-    W5_obs.Metrics.value metric - before
-  in
-  let collection = F.index_collection 10000 in
-  let where = W5_store.Query.field_equals "u" "u1" in
-  let indexed =
-    rows_visited_by (fun () ->
-        ignore
-          (W5_store.Query.select (F.spawn_on kernel "q") ~collection ~where))
-  in
-  let scanned =
-    rows_visited_by (fun () ->
-        ignore
-          (W5_store.Query.select ~use_index:false (F.spawn_on kernel "q")
-             ~collection ~where))
-  in
-  Printf.printf
-    "\nquery-index rows visited at 10k rows (field_equals, 10 matches):\n";
-  Printf.printf "  indexed: %d   scan: %d   (%.0fx fewer labeled reads)\n"
-    indexed scanned
-    (float_of_int scanned /. float_of_int (max 1 indexed))
-
-(* ------------------------------------------------------------------ *)
 (* pagerank (E5)                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -816,7 +742,6 @@ let group_thunks =
     ("export-check", bench_perimeter);
     ("declassifier", bench_declassifier);
     ("query-taint", bench_query);
-    ("query-index", bench_query_index);
     ("pagerank", bench_pagerank);
     ("rank-ablation", bench_rank_ablation);
     ("collaboration", bench_collab);
@@ -975,10 +900,6 @@ let () =
     "declassifier/logic-via-gate" "declassifier/logic-inline";
   print_ratio "E8  safe query vs leaky baseline (1000 rows)"
     "query-taint/safe-select-1000" "query-taint/leaky-select-1000";
-  print_ratio "IDX scan vs indexed equality select (10k rows)"
-    "query-index/scan-eq-10000" "query-index/indexed-eq-10000";
-  print_ratio "IDX scan vs indexed range select (10k rows)"
-    "query-index/scan-range-10000" "query-index/indexed-range-10000";
   print_ratio "E5  pagerank scaling (1000 vs 100 nodes)"
     "pagerank/compute-1000" "pagerank/compute-100";
   print_ratio "E5  hits vs pagerank (1000 nodes)" "rank-ablation/hits-1000"
@@ -1001,7 +922,6 @@ let () =
     "scheduler/drain-seeded-64-quantum1" "scheduler/drain-seeded-64";
   print_ratio "SCHED drain scaling (256 vs 16 procs)"
     "scheduler/drain-seeded-256" "scheduler/drain-seeded-16";
-  if List.mem_assoc "query-index" selected then report_rows_scanned ();
   if List.mem_assoc "scheduler" selected then report_sched_ticks ();
   (match json_dir with
   | None -> ()

@@ -79,9 +79,6 @@ let comment ctx ~viewer ~author ~entry ~text =
         (match Obj_store.create_collection ctx collection ~labels:W5_difc.Flow.bottom with
         | Ok () | Error (Os_error.Already_exists _) -> ()
         | Error _ -> ());
-        (* per-commenter lookups (moderation, "my comments") can use
-           the index instead of scanning the thread *)
-        Index.declare ctx ~collection ~field:"from" Index.Equality;
         let id =
           Printf.sprintf "c-%d-%d" (Syscall.pid ctx)
             (Syscall.usage ctx W5_os.Resource.Cpu)

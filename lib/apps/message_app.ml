@@ -24,7 +24,6 @@ let send ctx env ~sender ~recipient ~body =
        with
       | Ok () | Error (Os_error.Already_exists _) -> ()
       | Error _ -> ());
-      Index.declare ctx ~collection ~field:"from" Index.Equality;
       let labels =
         Flow.make ~secrecy:(Label.union s_sender s_recipient) ()
       in
@@ -54,8 +53,6 @@ let render_messages ctx ~title messages =
 
 let inbox ctx ~viewer ~sender_filter =
   let collection = inbox_collection viewer in
-  (* sender lookups ride the "from" index; declaring is idempotent *)
-  Index.declare ctx ~collection ~field:"from" Index.Equality;
   let where =
     match sender_filter with
     | None -> Query.always

@@ -17,10 +17,6 @@ let vote ctx ~viewer ~poll ~choice =
        with
       | Ok () | Error (Os_error.Already_exists _) -> ()
       | Error _ -> ());
-      (* per-choice counts can be answered from the index's candidate
-         sets; the full tally still reads every ballot *)
-      Index.declare ctx ~collection:(collection poll) ~field:"choice"
-        Index.Equality;
       let ballot = Record.of_fields [ ("voter", viewer); ("choice", choice) ] in
       match
         Obj_store.put ctx ~collection:(collection poll) ~id:viewer ~labels ballot

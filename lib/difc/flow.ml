@@ -14,13 +14,15 @@ let equal_labels a b =
 let pp_labels fmt l =
   Format.fprintf fmt "S=%a I=%a" Label.pp l.secrecy Label.pp l.integrity
 
+(* Returns [a] itself when [b] adds nothing to it, so folding bottom
+   (or already-absorbed) labels into an accumulator allocates nothing. *)
 let join a b =
   if a == b then a
   else
-    {
-      secrecy = Label.union a.secrecy b.secrecy;
-      integrity = Label.inter a.integrity b.integrity;
-    }
+    let secrecy = Label.union a.secrecy b.secrecy
+    and integrity = Label.inter a.integrity b.integrity in
+    if secrecy == a.secrecy && integrity == a.integrity then a
+    else { secrecy; integrity }
 
 type denial =
   | Secrecy_violation of Label.t

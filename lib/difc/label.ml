@@ -73,7 +73,10 @@ let to_list l = S.elements l.set
 let add t l = wrap (S.add t l.set)
 let remove t l = wrap (S.remove t l.set)
 let mem t l = S.mem t l.set
-let inter a b = wrap (S.inter a.set b.set)
+let inter a b =
+  if a == b || S.is_empty a.set then a
+  else if S.is_empty b.set then b
+  else wrap (S.inter a.set b.set)
 let diff a b = wrap (S.diff a.set b.set)
 
 let equal a b =

@@ -124,9 +124,9 @@ let read fs path =
   | Ok (File f) -> Ok (f.data, f.f_labels)
 
 (* Content writes also bump the parent directory's version: a dir's
-   d_version thus covers its whole set of immediate children, so
-   observers (e.g. the store's secondary indexes) can detect any
-   mutation under a directory from a single stat. *)
+   d_version thus covers its whole set of immediate children, so an
+   observer can detect any mutation under a directory from a single
+   stat. *)
 let bump_parent fs path =
   match lookup_parent fs path with
   | Ok (parent, _) -> parent.d_version <- parent.d_version + 1
@@ -205,6 +205,19 @@ let readdir fs path =
   | Ok (Dir d) ->
       let names = Hashtbl.fold (fun name _ acc -> name :: acc) d.entries [] in
       Ok (List.sort String.compare names, d.d_labels)
+
+let fold_children fs path ~init ~f =
+  match lookup fs path with
+  | Error e -> Error (fs_error path e)
+  | Ok (File _) -> Error (Os_error.Not_a_directory path)
+  | Ok (Dir d) ->
+      Ok
+        (Hashtbl.fold
+           (fun _ node acc ->
+             match node with
+             | File file -> f acc file.f_labels
+             | Dir dir -> f acc dir.d_labels)
+           d.entries init)
 
 let stat fs path =
   match lookup fs path with

@@ -45,6 +45,14 @@ val rename : t -> src:string -> dst:string -> (unit, Os_error.t) result
 val readdir : t -> string -> (string list * Flow.labels, Os_error.t) result
 (** Entry names (sorted) plus the directory's labels. *)
 
+val fold_children :
+  t -> string -> init:'a -> f:('a -> Flow.labels -> 'a) ->
+  ('a, Os_error.t) result
+(** Fold [f] over the labels of every immediate child of a directory
+    — files and sub-directories alike — in unspecified order, without
+    resolving each child's path. Mechanism only, like the rest of this
+    module: the caller owns what the labels may be used for. *)
+
 val stat : t -> string -> (stat, Os_error.t) result
 val set_labels : t -> string -> labels:Flow.labels -> (unit, Os_error.t) result
 val exists : t -> string -> bool
@@ -61,8 +69,11 @@ val total_files : t -> int
 
 val generation : t -> int
 (** Bumped whenever the namespace changes out from under version
-    counters (today: a successful {!restore_into}). Caches keyed on
-    [(generation, dir version)] stay sound across restores. *)
+    counters (today: a successful {!restore_into}). A cache keyed on
+    [(generation, dir version)] stays sound across restores. Nothing
+    keys on the pair today; it is the stamp planned for incremental
+    federation sync, which would re-stat a directory's children only
+    when the pair has moved since the last round (ROADMAP.md). *)
 
 val snapshot : t -> string
 (** Serialize the whole tree — data, labels (by tag identity) and

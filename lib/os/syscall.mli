@@ -133,8 +133,8 @@ val absorb_labels : Kernel.ctx -> Flow.labels -> unit r
 (** Join a full label pair into the caller's (secrecy union, integrity
     meet) — the same absorption a tainting read performs, without the
     read. {e Restricted} secrecy tags still require [t+]; the store's
-    query layer uses this to pre-absorb a collection's label summary
-    so indexed and scanning evaluations taint identically. *)
+    query layer uses this to pre-absorb a collection's label summary,
+    so the taint does not depend on how many rows a query visits. *)
 
 val declassify_self : Kernel.ctx -> ?context:string -> Tag.t -> unit r
 (** Drop one secrecy tag from the caller's label; requires [t-].

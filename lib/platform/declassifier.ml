@@ -103,31 +103,21 @@ let secret_open = "<span class=\"w5-secret\">"
 let secret_close = "</span><!--/w5-secret-->"
 let secret_span content = secret_open ^ content ^ secret_close
 
-(* [needle] sits at [haystack.[i]], compared in place. *)
-let rec matches_at haystack i needle k =
-  k = String.length needle
-  || (haystack.[i + k] = needle.[k] && matches_at haystack i needle (k + 1))
-
-let find_sub haystack needle from =
-  let hn = String.length haystack and nn = String.length needle in
-  let rec scan i =
-    if i + nn > hn then None
-    else if matches_at haystack i needle 0 then Some i
-    else scan (i + 1)
-  in
-  scan from
-
-let contains_secret_span data = find_sub data secret_open 0 <> None
+let contains_secret_span data =
+  W5_obs.Substring.contains ~needle:secret_open data
 
 let redact_spans ?(replacement = "\xe2\x96\x88\xe2\x96\x88\xe2\x96\x88") data =
   let buf = Buffer.create (String.length data) in
   let rec go pos =
-    match find_sub data secret_open pos with
+    match W5_obs.Substring.find ~needle:secret_open ~from:pos data with
     | None -> Buffer.add_substring buf data pos (String.length data - pos)
     | Some start -> (
         Buffer.add_substring buf data pos (start - pos);
         Buffer.add_string buf replacement;
-        match find_sub data secret_close (start + String.length secret_open) with
+        match
+          W5_obs.Substring.find ~needle:secret_close
+            ~from:(start + String.length secret_open) data
+        with
         | None -> () (* unterminated: drop the tail *)
         | Some close -> go (close + String.length secret_close))
   in

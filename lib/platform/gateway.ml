@@ -414,16 +414,7 @@ let handle_audit platform request =
   let lines =
     match Request.param request "filter" with
     | None -> lines
-    | Some needle ->
-        let contains hay =
-          let hn = String.length hay and nn = String.length needle in
-          let rec matches_at i k =
-            k = nn || (hay.[i + k] = needle.[k] && matches_at i (k + 1))
-          in
-          let rec scan i = i + nn <= hn && (matches_at i 0 || scan (i + 1)) in
-          nn = 0 || scan 0
-        in
-        List.filter contains lines
+    | Some needle -> List.filter (W5_obs.Substring.contains ~needle) lines
   in
   Response.html
     (Html.page ~title:"audit: recent denials"

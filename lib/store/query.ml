@@ -1,70 +1,28 @@
+open W5_difc
 open W5_os
 
 type id = string
+type predicate = Record.t -> bool
 
-(* Predicates are reified so the planner can look inside them; [eval]
-   gives them back their old meaning as functions. *)
-type predicate =
-  | Always
-  | Field_equals of string * string
-  | Field_contains of string * string
-  | Field_int_at_least of string * int
-  | Has_field of string
-  | And of predicate * predicate
-  | Or of predicate * predicate
-  | Not of predicate
-  | Custom of (Record.t -> bool)
+let always _ = true
 
-let always = Always
-let field_equals key value = Field_equals (key, value)
-let field_contains key needle = Field_contains (key, needle)
-let field_int_at_least key threshold = Field_int_at_least (key, threshold)
-let has_field key = Has_field key
-let ( &&& ) p q = And (p, q)
-let ( ||| ) p q = Or (p, q)
-let not_ p = Not p
-let custom f = Custom f
+let field_equals key value r =
+  match Record.get r key with Some v -> String.equal v value | None -> false
 
-(* Iterative substring search: field values can be megabytes, and one
-   stack frame per character overflows. *)
-let contains ~needle haystack =
-  let vn = String.length haystack and nn = String.length needle in
-  if nn = 0 then true
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i + nn <= vn do
-      if String.sub haystack !i nn = needle then found := true else incr i
-    done;
-    !found
-  end
+let field_contains key needle r =
+  match Record.get r key with
+  | Some v -> W5_obs.Substring.contains ~needle v
+  | None -> false
 
-let rec eval p r =
-  match p with
-  | Always -> true
-  | Field_equals (key, value) -> Record.get r key = Some value
-  | Field_contains (key, needle) -> (
-      match Record.get r key with
-      | None -> false
-      | Some v -> contains ~needle v)
-  | Field_int_at_least (key, threshold) -> (
-      match Record.get_int r key with
-      | None -> false
-      | Some n -> n >= threshold)
-  | Has_field key -> Record.mem r key
-  | And (p, q) -> eval p r && eval q r
-  | Or (p, q) -> eval p r || eval q r
-  | Not p -> not (eval p r)
-  | Custom f -> f r
+let field_int_at_least key threshold r =
+  match Record.get_int r key with Some n -> n >= threshold | None -> false
 
-(* Indexable atoms of the conjunction spine. An atom only has to be
-   {e necessary} for the predicate (candidates form a superset of the
-   matches); disjunctions and negations offer no such atom. *)
-let rec atoms_of = function
-  | Field_equals (key, value) -> [ Index.Eq (key, value) ]
-  | Field_int_at_least (key, threshold) -> [ Index.At_least (key, threshold) ]
-  | And (p, q) -> atoms_of p @ atoms_of q
-  | Always | Field_contains _ | Has_field _ | Or _ | Not _ | Custom _ -> []
+let has_field key r = Record.mem r key
+let ( &&& ) p q r = p r && q r
+let ( ||| ) p q r = p r || q r
+let not_ p r = not (p r)
+let custom f = f
+let eval p r = p r
 
 (* Query telemetry records sizes only (rows scanned, rows returned):
    counts are shaped like label sizes, not like record contents. *)
@@ -84,68 +42,54 @@ let meter_rows ctx n =
        ~help:"Result-set sizes of store queries")
     n
 
+(* The collection's label summary: the join of every child's labels
+   (secrecy union, integrity meet) plus the lookup path's secrecy —
+   exactly what a tainting read of every row would absorb. Undecodable
+   rows and stray directories count too: a scan's taint touches them.
+   [None] for an empty collection, where a scan absorbs nothing.
+
+   The children are read straight from Fs, not through Syscall: this
+   is store bookkeeping, and nothing read here reaches the caller
+   except by being absorbed into its label before any row is served.
+   The lookup path is re-read on every query, since an ancestor's
+   labels can change without touching the collection directory. *)
+let summary kernel ~collection =
+  let fs = Kernel.fs kernel in
+  let dir = Store_path.collection_path collection in
+  let join acc labels =
+    match acc with
+    | None -> Some labels
+    | Some rows ->
+        let joined = Flow.join rows labels in
+        if joined == rows then acc else Some joined
+  in
+  match Fs.fold_children fs dir ~init:None ~f:join with
+  | Error _ | Ok None -> None
+  | Ok (Some rows) -> (
+      match Fs.path_taint fs (dir ^ "/x") with
+      | Ok lookup -> Some (Flow.raise_secrecy lookup.Flow.secrecy rows)
+      | Error _ -> Some rows)
+
 (* The taint a query imposes must depend only on the collection's
-   contents — never on which rows the planner chose to visit, or the
-   taint itself becomes a channel about the skipped rows. Both the
-   scanning and the indexed paths therefore absorb the collection-wide
-   label summary (the exact join a full tainting scan would reach)
-   before reading anything. Restricted tags deny here, identically in
-   both paths. *)
+   contents — never on which rows the walk visits, or the taint itself
+   becomes a channel about the rows it skipped. So the whole summary
+   is absorbed before anything is read, and a restricted tag anywhere
+   in the collection denies here, before any content moves. *)
 let absorb_summary ctx ~collection =
-  match Index.summary ctx.Kernel.kernel ~collection with
+  match summary ctx.Kernel.kernel ~collection with
   | None -> Ok ()
   | Some labels -> Syscall.absorb_labels ctx labels
 
-let scan ctx ~collection ~read ~init ~f =
-  match Obj_store.list ctx ~collection with
-  | Error _ as e -> e
-  | Ok ids -> (
-      match absorb_summary ctx ~collection with
-      | Error _ as e -> e
-      | Ok () ->
-          meter_scanned ctx (List.length ids);
-          let step acc id =
-            match acc with
-            | Error _ as e -> e
-            | Ok acc -> (
-                match read ctx (Obj_store.object_path collection id) with
-                | Error e -> Error (`Row (id, e))
-                | Ok data -> (
-                    match Record.decode data with
-                    | Error _ -> Ok acc (* undecodable rows are skipped *)
-                    | Ok record -> Ok (f acc id record)))
-          in
-          Result.map_error
-            (fun (`Row (_, e)) -> e)
-            (List.fold_left step (Ok init) ids))
-
-let select ?limit ?(use_index = true) ctx ~collection ~where =
+let select ?limit ctx ~collection ~where =
   match Obj_store.list ctx ~collection with
   | Error _ as e -> e
   | Ok ids -> (
       match absorb_summary ctx ~collection with
       | Error _ as e -> e
       | Ok () -> (
-          let kernel = ctx.Kernel.kernel in
-          let candidates =
-            if not use_index then ids
-            else
-              match atoms_of where with
-              | [] ->
-                  Index.meter_query_fallback kernel "predicate";
-                  ids
-              | atoms -> (
-                  match Index.plan kernel ~collection atoms with
-                  | Ok candidate_ids -> candidate_ids
-                  | Error reason ->
-                      Index.meter_query_fallback kernel reason;
-                      ids)
-          in
-          (* Candidates are a hint, nothing more: every one is re-read
-             through the syscall layer and re-checked against the full
-             predicate. Visiting stops once [limit] rows match — safe
-             now that the taint was settled above, independent of how
-             far we get. *)
+          (* Every row is still read through the syscall layer. The
+             walk stops once [limit] rows match — safe because the
+             taint was settled above, independent of how far we get. *)
           let full = match limit with None -> max_int | Some n -> n in
           let rec visit acc found = function
             | [] -> Ok (List.rev acc)
@@ -161,11 +105,11 @@ let select ?limit ?(use_index = true) ctx ~collection ~where =
                     match Record.decode data with
                     | Error _ -> visit acc found rest
                     | Ok record ->
-                        if eval where record then
+                        if where record then
                           visit ((id, record) :: acc) (found + 1) rest
                         else visit acc found rest))
           in
-          match visit [] 0 candidates with
+          match visit [] 0 ids with
           | Error _ as e -> e
           | Ok results ->
               meter_rows ctx (List.length results);
@@ -181,7 +125,7 @@ let select_leaky ctx ~collection ~where =
         | Ok data -> (
             match Record.decode data with
             | Error _ -> acc
-            | Ok record -> if eval where record then (id, record) :: acc else acc)
+            | Ok record -> if where record then (id, record) :: acc else acc)
       in
       let results = List.rev (List.fold_left step [] ids) in
       meter_rows ctx (List.length results);
@@ -191,4 +135,25 @@ let count ctx ~collection ~where =
   Result.map List.length (select ctx ~collection ~where)
 
 let fold ctx ~collection ~init ~f =
-  scan ctx ~collection ~read:Syscall.read_file_taint ~init ~f
+  match Obj_store.list ctx ~collection with
+  | Error _ as e -> e
+  | Ok ids -> (
+      match absorb_summary ctx ~collection with
+      | Error _ as e -> e
+      | Ok () ->
+          meter_scanned ctx (List.length ids);
+          let step acc id =
+            match acc with
+            | Error _ -> acc
+            | Ok acc -> (
+                match
+                  Syscall.read_file_taint ctx
+                    (Obj_store.object_path collection id)
+                with
+                | Error e -> Error e
+                | Ok data -> (
+                    match Record.decode data with
+                    | Error _ -> Ok acc (* undecodable rows are skipped *)
+                    | Ok record -> Ok (f acc id record)))
+          in
+          List.fold_left step (Ok init) ids)

@@ -11,14 +11,13 @@
     the collection's label summary — before any row is served. Absence
     then carries no exploitable signal: by the time the caller learns
     the shape, it is already tainted by everything that could have
-    shaped it and cannot export the knowledge. Because the taint is
-    settled up front and does not depend on which rows are actually
-    visited, evaluation is free to visit {e fewer} rows: the planner
-    consults {!Index} for candidate ids when the predicate contains an
-    indexable conjunct, and [limit] stops the walk early. Every
-    candidate is still re-read through the syscall layer with the full
-    predicate re-applied — the index can never bypass a label check or
-    serve a stale row (see DESIGN.md, "Indexed queries").
+    shaped it and cannot export the knowledge. The summary is one pass
+    over the collection directory's children
+    ({!W5_os.Fs.fold_children}): their secrecy union and integrity
+    meet, plus the lookup path's secrecy. Because the taint is settled
+    up front and does not depend on which rows are visited, [limit]
+    may stop the walk early; every visited row is still read through
+    the syscall layer (see DESIGN.md, "Collection label summary").
 
     {!select_leaky} implements the classic (unsafe) semantics — skip
     rows the caller cannot read — and exists only as the baseline arm
@@ -33,8 +32,7 @@ open W5_os
 type id = string
 
 type predicate
-(** Reified so the planner can recognize indexable atoms; apply one
-    with {!eval}. *)
+(** A row filter; apply one with {!eval}. *)
 
 val always : predicate
 val field_equals : string -> string -> predicate
@@ -48,26 +46,20 @@ val ( ||| ) : predicate -> predicate -> predicate
 val not_ : predicate -> predicate
 
 val custom : (Record.t -> bool) -> predicate
-(** An opaque predicate: always evaluated by scan, never indexed. *)
 
 val eval : predicate -> Record.t -> bool
 
 val select :
-  ?limit:int -> ?use_index:bool -> Kernel.ctx -> collection:string ->
-  where:predicate -> ((id * Record.t) list, Os_error.t) result
+  ?limit:int -> Kernel.ctx -> collection:string -> where:predicate ->
+  ((id * Record.t) list, Os_error.t) result
 (** Safe semantics: absorb the collection's label summary, then return
     decoded matches in id order. Rows that fail to decode are skipped.
+    A restricted tag anywhere in the collection denies the query
+    before any row is read.
 
     [limit] short-circuits the walk once that many rows match; the
-    taint (already settled) is unaffected, so pagination no longer
-    costs a full read of the collection.
-
-    [use_index] (default [true]) lets the planner serve candidates
-    from {!Index} when the predicate's conjunction spine contains a
-    [field_equals] or [field_int_at_least] atom over a declared field.
-    [~use_index:false] forces the scan path — results are identical by
-    construction (the equivalence property test holds the two paths to
-    that), only the number of rows visited differs. *)
+    taint (already settled) is unaffected, so pagination does not cost
+    a full read of the collection. *)
 
 val select_leaky :
   Kernel.ctx -> collection:string -> where:predicate ->

@@ -1,6 +1,5 @@
 (* Path conventions for the object store, shared by {!Obj_store} and
-   {!Index} (which must agree on where objects live without depending
-   on each other).
+   {!Query}.
 
    Application-chosen collection and object names may contain ['/'],
    which the filesystem reserves. The escaping must be *injective*:
@@ -41,13 +40,6 @@ let unsanitize name =
     incr i
   done;
   Buffer.contents buf
-
-(* [true] iff [name] is something {!sanitize} can produce — i.e. the
-   logical id obtained by {!unsanitize} maps back to exactly this
-   on-disk name. Raw files smuggled in with bad escapes fail this and
-   force queries onto the scan path, which sees the same files the
-   same way. *)
-let round_trips name = sanitize (unsanitize name) = name
 
 let collection_path collection = root ^ "/" ^ sanitize collection
 let object_path collection id = collection_path collection ^ "/" ^ sanitize id

@@ -1,6 +1,6 @@
-(** Path conventions for the object store, shared by {!Obj_store} and
-    {!Index} (which must agree on where objects live without depending
-    on each other). *)
+(** Path conventions for the object store, shared by {!Obj_store}
+    and {!Query} (which reads the collection directory's children for
+    its label summary). *)
 
 val root : string
 (** The store's root directory, ["/store"]. *)
@@ -14,12 +14,6 @@ val unsanitize : string -> string
 (** Inverse of {!sanitize} on its image; lenient elsewhere (a stray
     unescaped ['_'] passes through) so directory listings never
     fail. *)
-
-val round_trips : string -> bool
-(** [true] iff the on-disk name is something {!sanitize} can produce,
-    i.e. [sanitize (unsanitize name) = name]. Raw files smuggled in
-    with bad escapes fail this and force queries onto the scan
-    path. *)
 
 val collection_path : string -> string
 (** [collection_path c] is the directory holding collection [c]. *)

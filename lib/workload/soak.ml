@@ -75,13 +75,6 @@ let canary_owners body =
   in
   scan 0 []
 
-let contains hay needle =
-  let hn = String.length hay and nn = String.length needle in
-  let rec scan i =
-    i + nn <= hn && (String.sub hay i nn = needle || scan (i + 1))
-  in
-  nn = 0 || scan 0
-
 let walk_fs platform f =
   let fs = W5_os.Kernel.fs (Platform.kernel platform) in
   let rec walk path =
@@ -110,7 +103,9 @@ let unlabeled_canary_paths platform ~needles =
   walk_fs platform (fun path data labels ->
       if
         W5_difc.Label.is_empty labels.W5_difc.Flow.secrecy
-        && List.exists (contains data) needles
+        && List.exists
+             (fun needle -> W5_obs.Substring.contains ~needle data)
+             needles
       then bad := path :: !bad);
   List.rev !bad
 

@@ -1,7 +1,8 @@
-(* Tests for the label-safe secondary-index layer: candidate sets are
-   hints only — every query must return exactly what a full tainting
-   scan would, impose the same taint, and fail with the same denials,
-   while visiting far fewer rows. *)
+(* Tests for the store's naming and for the collection label summary:
+   object ids escape injectively onto the filesystem, and a query must
+   return exactly what a tainting read of every row would, leave the
+   caller with the same label, and fail with the same denials — with
+   or without a [limit] that stops the walk early. *)
 
 open W5_difc
 open W5_os
@@ -42,7 +43,6 @@ let counter kernel name =
   W5_obs.Metrics.value (W5_obs.Metrics.counter (Kernel.metrics kernel) name)
 
 let rows_scanned kernel = counter kernel "w5_store_rows_scanned_total"
-let index_hits kernel = counter kernel "w5_store_index_hits_total"
 
 let put ctx ~collection ~id ?(labels = Flow.bottom) fields =
   ok (Obj_store.put ctx ~collection ~id ~labels (Record.of_fields fields))
@@ -96,147 +96,109 @@ let test_no_aliasing_in_store () =
 (* ---- query engine edges ---- *)
 
 let test_field_contains_large_value () =
-  (* ~1 MB field: the old recursive substring search overflowed *)
+  (* ~1 MB field: the old recursive substring search overflowed, and a
+     [String.sub] per position allocated about a million strings *)
   let big = String.make (1024 * 1024) 'x' ^ "needle" in
   let r = Record.of_fields [ ("blob", big) ] in
-  check bool_c "found at end" true
-    (Query.eval (Query.field_contains "blob" "needle") r);
+  let needle = Query.field_contains "blob" "needle" in
+  check bool_c "found at end" true (Query.eval needle r);
   check bool_c "absent" false
     (Query.eval (Query.field_contains "blob" "absent") r);
+  let evals = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to evals do
+    ignore (Sys.opaque_identity (Query.eval needle r))
+  done;
+  let per_eval = (Gc.minor_words () -. before) /. float_of_int evals in
+  check bool_c
+    (Printf.sprintf "compares in place (%.0f minor words per eval)" per_eval)
+    true (per_eval < 1000.);
   let kernel = fresh_store () in
   run kernel ~name:"querier" (fun ctx ->
       ok (Obj_store.create_collection ctx "blobs" ~labels:Flow.bottom);
       put ctx ~collection:"blobs" ~id:"b1" [ ("blob", big) ];
       let rows =
-        ok
-          (Query.select ctx ~collection:"blobs"
-             ~where:(Query.field_contains "blob" "needle"))
+        ok (Query.select ctx ~collection:"blobs" ~where:needle)
       in
       check int_c "selected through 1MB field" 1 (List.length rows))
 
-(* ---- indexed vs scan: results, metering, acceptance ratio ---- *)
+(* ---- the summary on the single query path ---- *)
 
-let seed_flat kernel ~collection ~rows ~matches =
-  run kernel ~name:"seed" (fun ctx ->
-      ok (Obj_store.create_collection ctx collection ~labels:Flow.bottom);
-      Index.declare ctx ~collection ~field:"u" Index.Equality;
-      Index.declare ctx ~collection ~field:"score" Index.Int_order;
-      for i = 0 to rows - 1 do
-        put ctx ~collection
-          ~id:(Printf.sprintf "r%05d" i)
-          [
-            ("u", if i < matches then "hot" else "u" ^ string_of_int i);
-            ("score", string_of_int i);
-          ]
-      done)
+let select_ids ?limit ctx ~collection where =
+  List.map fst (ok (Query.select ?limit ctx ~collection ~where))
 
-let select_ids ctx ~use_index ~collection where =
-  List.map fst (ok (Query.select ctx ~use_index ~collection ~where))
-
-let test_indexed_equals_scan () =
-  let kernel = fresh_store () in
-  seed_flat kernel ~collection:"c" ~rows:40 ~matches:3;
-  run kernel ~name:"querier" (fun ctx ->
-      let check_same name where =
-        check (Alcotest.list string_c) name
-          (select_ids ctx ~use_index:false ~collection:"c" where)
-          (select_ids ctx ~use_index:true ~collection:"c" where)
-      in
-      let hits = index_hits kernel in
-      check_same "equality" (Query.field_equals "u" "hot");
-      check_same "range" (Query.field_int_at_least "score" 35);
-      check_same "conjunction"
-        Query.(field_equals "u" "hot" &&& field_int_at_least "score" 1);
-      check_same "miss" (Query.field_equals "u" "nobody");
-      check bool_c "index served the indexed arms" true
-        (index_hits kernel - hits >= 4))
-
-let test_acceptance_ratio () =
-  (* the PR's bar: >= 50x fewer labeled row reads than a scan *)
-  let rows = 1000 and matches = 10 in
-  let kernel = fresh_store () in
-  seed_flat kernel ~collection:"big" ~rows ~matches;
-  run kernel ~name:"querier" (fun ctx ->
-      let where = Query.field_equals "u" "hot" in
-      let s0 = rows_scanned kernel in
-      let indexed = select_ids ctx ~use_index:true ~collection:"big" where in
-      let s1 = rows_scanned kernel in
-      let scanned = select_ids ctx ~use_index:false ~collection:"big" where in
-      let s2 = rows_scanned kernel in
-      check (Alcotest.list string_c) "same rows" scanned indexed;
-      check int_c "indexed visits only the matches" matches (s1 - s0);
-      check int_c "scan visits everything" rows (s2 - s1);
-      check bool_c "at least 50x fewer" true ((s2 - s1) / max 1 (s1 - s0) >= 50))
-
-(* ---- taint and denial equivalence ---- *)
-
-let test_indexed_taint_equals_scan_taint () =
+let test_taint_covers_unmatched_rows () =
   let kernel = fresh_store () in
   let tag = Tag.fresh ~name:"idx.s" Tag.Secrecy in
   let secret = Flow.make ~secrecy:(Label.singleton tag) () in
   run kernel ~name:"seed" (fun ctx ->
       ok (Obj_store.create_collection ctx "msgs" ~labels:Flow.bottom);
-      Index.declare ctx ~collection:"msgs" ~field:"u" Index.Equality;
       put ctx ~collection:"msgs" ~id:"m1" [ ("u", "bob") ];
       put ctx ~collection:"msgs" ~id:"m2" ~labels:secret
         [ ("u", "secret-admirer") ]);
-  let taint_after use_index =
+  let taint_after ?limit () =
     run kernel ~name:"querier" (fun ctx ->
-        let ids = select_ids ctx ~use_index ~collection:"msgs"
-            (Query.field_equals "u" "bob") in
+        let ids =
+          select_ids ?limit ctx ~collection:"msgs"
+            (Query.field_equals "u" "bob")
+        in
         check (Alcotest.list string_c) "public match only" [ "m1" ] ids;
         (Syscall.my_labels ctx).Flow.secrecy)
   in
-  (* the candidate set never touches m2, yet the taint must still
-     carry its tag — identical to the scanning path *)
-  check bool_c "indexed absorbs skipped row" true
-    (Label.mem tag (taint_after true));
-  check bool_c "same taint as scan" true
-    (Label.equal (taint_after true) (taint_after false))
+  (* m2 never matches, and with [~limit:1] it is never even read, yet
+     the taint must carry its tag *)
+  check bool_c "absorbs the unmatched row" true (Label.mem tag (taint_after ()));
+  check bool_c "absorbs the unvisited row" true
+    (Label.mem tag (taint_after ~limit:1 ()))
 
-let test_restricted_tag_denied_identically () =
+let test_restricted_tag_denied () =
   let kernel = fresh_store () in
   let locked = Tag.fresh ~name:"idx.locked" ~restricted:true Tag.Secrecy in
   run kernel ~name:"seed" (fun ctx ->
       ok (Obj_store.create_collection ctx "vault" ~labels:Flow.bottom);
-      Index.declare ctx ~collection:"vault" ~field:"u" Index.Equality;
       put ctx ~collection:"vault" ~id:"v1" [ ("u", "bob") ];
       put ctx ~collection:"vault" ~id:"v2"
         ~labels:(Flow.make ~secrecy:(Label.singleton locked) ())
         [ ("u", "eve") ]);
-  (* without [locked+], both paths deny before reading anything — even
-     though the indexed candidate set contains only the public row *)
+  (* without [locked+], the query is denied before any row is read —
+     even when the walk would stop at the public row first *)
   run kernel ~name:"snoop" (fun ctx ->
       List.iter
-        (fun use_index ->
-          match
-            Query.select ctx ~use_index ~collection:"vault"
-              ~where:(Query.field_equals "u" "bob")
-          with
+        (fun limit ->
+          let scanned = rows_scanned kernel in
+          (match
+             Query.select ?limit ctx ~collection:"vault"
+               ~where:(Query.field_equals "u" "bob")
+           with
           | Error e when Os_error.is_denied e -> ()
           | Ok _ -> Alcotest.fail "restricted collection served"
-          | Error e -> Alcotest.failf "wrong error: %s" (Os_error.to_string e))
-        [ true; false ]);
-  (* with t+, both succeed and agree *)
+          | Error e -> Alcotest.failf "wrong error: %s" (Os_error.to_string e));
+          check int_c "no row read" scanned (rows_scanned kernel))
+        [ None; Some 1 ]);
+  (* with t+, the same query succeeds *)
   run kernel
     ~caps:(Capability.Set.of_list [ Capability.make locked Capability.Plus ])
     ~name:"reader" (fun ctx ->
-      let where = Query.field_equals "u" "bob" in
-      check (Alcotest.list string_c) "agree under t+"
-        (select_ids ctx ~use_index:false ~collection:"vault" where)
-        (select_ids ctx ~use_index:true ~collection:"vault" where))
+      check (Alcotest.list string_c) "served under t+" [ "v1" ]
+        (select_ids ctx ~collection:"vault" (Query.field_equals "u" "bob")))
 
-(* ---- invalidation: writes that bypass Obj_store ---- *)
+(* ---- writes that bypass Obj_store ---- *)
 
-let test_raw_write_invalidates_index () =
+let seed_flat kernel ~collection ~rows ~matches =
+  run kernel ~name:"seed" (fun ctx ->
+      ok (Obj_store.create_collection ctx collection ~labels:Flow.bottom);
+      for i = 0 to rows - 1 do
+        put ctx ~collection
+          ~id:(Printf.sprintf "r%05d" i)
+          [ ("u", if i < matches then "hot" else "u" ^ string_of_int i) ]
+      done)
+
+let test_raw_write_is_seen () =
   let kernel = fresh_store () in
   seed_flat kernel ~collection:"live" ~rows:6 ~matches:2;
-  let hot ctx =
-    select_ids ctx ~use_index:true ~collection:"live"
-      (Query.field_equals "u" "hot")
-  in
+  let hot ctx = select_ids ctx ~collection:"live" (Query.field_equals "u" "hot") in
   run kernel ~name:"reader" (fun ctx ->
-      check int_c "warm index" 2 (List.length (hot ctx)));
+      check int_c "before" 2 (List.length (hot ctx)));
   (* a hostile app rewrites a row straight through Syscall *)
   run kernel ~name:"hostile" (fun ctx ->
       ok
@@ -244,13 +206,11 @@ let test_raw_write_invalidates_index () =
            (Obj_store.object_path "live" "r00005")
            ~data:(Record.encode (Record.of_fields [ ("u", "hot") ]))));
   run kernel ~name:"reader2" (fun ctx ->
-      (* the dir-version stamp catches the bypassing write: the index
-         rebuilds and serves the new truth, never the stale posting *)
       check (Alcotest.list string_c) "sees the raw write"
         [ "r00000"; "r00001"; "r00005" ]
         (hot ctx))
 
-let test_stray_directory_forces_fallback () =
+let test_stray_directory_fails () =
   let kernel = fresh_store () in
   seed_flat kernel ~collection:"odd" ~rows:4 ~matches:1;
   run kernel ~name:"mkdir" (fun ctx ->
@@ -259,36 +219,45 @@ let test_stray_directory_forces_fallback () =
            (Obj_store.collection_path "odd" ^ "/subdir")
            ~labels:Flow.bottom));
   run kernel ~name:"querier" (fun ctx ->
-      (* a scan aborts on the sub-directory; the index must not paper
-         over that, so both paths return the same error *)
-      let outcome use_index =
-        Query.select ctx ~use_index ~collection:"odd"
-          ~where:(Query.field_equals "u" "hot")
+      (* the walk reaches the sub-directory and fails on it, as a
+         tainting read of it does *)
+      let expected =
+        match
+          Syscall.read_file_taint ctx
+            (Obj_store.collection_path "odd" ^ "/subdir")
+        with
+        | Error e -> Os_error.to_string e
+        | Ok _ -> Alcotest.fail "read a directory as a row"
       in
-      match (outcome true, outcome false) with
-      | Error a, Error b ->
-          check string_c "same error" (Os_error.to_string b)
-            (Os_error.to_string a)
-      | Ok _, _ | _, Ok _ -> Alcotest.fail "selected past a stray directory")
+      match
+        Query.select ctx ~collection:"odd" ~where:(Query.field_equals "u" "hot")
+      with
+      | Error e -> check string_c "same error" expected (Os_error.to_string e)
+      | Ok _ -> Alcotest.fail "selected past a stray directory")
 
-(* ---- the equivalence property ----
+(* ---- the summary property ----
 
    Random mutation histories (puts, deletes, raw writes, junk rows,
-   secret rows), then random queries: the indexed path must agree with
-   the scanning path on results, order, and resulting taint. *)
+   secret and endorsed rows), then random queries: [Query.select] must
+   return what a reference process that tainting-reads every row
+   returns, and leave the caller with the same label. With [~limit:1]
+   the rows are a prefix of that result and the label is the same:
+   the summary absorbs the rows the walk never reaches. *)
 
 type op =
-  | Put of string * string * bool (* id, value, secret? *)
+  | Put of string * string * [ `Public | `Secret | `Endorsed ]
   | Delete of string
   | Raw_write of string * string (* id, raw bytes *)
 
 let op_gen =
   QCheck.Gen.(
     let id = map (fun i -> "i" ^ string_of_int i) (0 -- 5) in
+    let put kind = map2 (fun id v -> Put (id, "v" ^ string_of_int v, kind)) id (0 -- 3) in
     frequency
       [
-        (6, map2 (fun id v -> Put (id, "v" ^ string_of_int v, false)) id (0 -- 3));
-        (2, map2 (fun id v -> Put (id, "v" ^ string_of_int v, true)) id (0 -- 3));
+        (5, put `Public);
+        (2, put `Secret);
+        (2, put `Endorsed);
         (2, map (fun id -> Delete id) id);
         (1, map (fun id -> Raw_write (id, "%%%junk%%%")) id);
         (1, map2 (fun id v -> Raw_write (id, Record.encode (Record.of_fields [ ("u", "v" ^ string_of_int v) ]))) id (0 -- 3));
@@ -301,26 +270,62 @@ let arb_history =
       String.concat "; "
         (List.map
            (function
-             | Put (id, v, s) ->
-                 Printf.sprintf "put %s=%s%s" id v (if s then " (secret)" else "")
+             | Put (id, v, kind) ->
+                 Printf.sprintf "put %s=%s%s" id v
+                   (match kind with
+                   | `Public -> ""
+                   | `Secret -> " (secret)"
+                   | `Endorsed -> " (endorsed)")
              | Delete id -> "del " ^ id
              | Raw_write (id, data) -> Printf.sprintf "raw %s=%S" id data)
            ops))
 
-let prop_indexed_equals_scan =
-  QCheck.Test.make ~name:"indexed select = scanning select" ~count:60
+(* What a tainting read of every row returns: rows in id order, and
+   the caller's label afterwards. *)
+let reference ctx ~collection ~where =
+  match Obj_store.list ctx ~collection with
+  | Error e -> Error (Os_error.to_string e)
+  | Ok ids ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | id :: rest -> (
+            match
+              Syscall.read_file_taint ctx (Obj_store.object_path collection id)
+            with
+            | Error e -> Error (Os_error.to_string e)
+            | Ok data -> (
+                match Record.decode data with
+                | Ok r when Query.eval where r -> go ((id, Record.fields r) :: acc) rest
+                | Ok _ | Error _ -> go acc rest))
+      in
+      Result.map (fun rows -> (rows, Syscall.my_labels ctx)) (go [] ids)
+
+let rec is_prefix a b =
+  match (a, b) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs, y :: ys -> x = y && is_prefix xs ys
+
+let prop_select_equals_reference =
+  QCheck.Test.make ~name:"select = tainting read of every row" ~count:60
     arb_history (fun ops ->
       let kernel = fresh_store () in
       let tag = Tag.fresh ~name:"prop.s" Tag.Secrecy in
-      let secret = Flow.make ~secrecy:(Label.singleton tag) () in
-      run kernel ~name:"mutate" (fun ctx ->
+      let vouch = Tag.fresh ~name:"prop.i" Tag.Integrity in
+      let endorsed = Flow.make ~integrity:(Label.singleton vouch) () in
+      let labels_of = function
+        | `Public -> Flow.bottom
+        | `Secret -> Flow.make ~secrecy:(Label.singleton tag) ()
+        | `Endorsed -> endorsed
+      in
+      (* the writer holds [vouch] integrity, so it may create endorsed
+         rows; observers start endorsed too, so the meet is visible *)
+      run kernel ~name:"mutate" ~labels:endorsed (fun ctx ->
           ok (Obj_store.create_collection ctx "h" ~labels:Flow.bottom);
-          Index.declare ctx ~collection:"h" ~field:"u" Index.Equality;
           List.iter
             (function
-              | Put (id, v, is_secret) ->
-                  put ctx ~collection:"h" ~id
-                    ~labels:(if is_secret then secret else Flow.bottom)
+              | Put (id, v, kind) ->
+                  put ctx ~collection:"h" ~id ~labels:(labels_of kind)
                     [ ("u", v) ]
               | Delete id -> (
                   match Obj_store.delete ctx ~collection:"h" ~id with
@@ -337,22 +342,27 @@ let prop_indexed_equals_scan =
                   | Error e ->
                       Alcotest.failf "raw write: %s" (Os_error.to_string e)))
             ops);
-      let observe use_index where =
-        run kernel ~name:"observe" (fun ctx ->
-            match Query.select ctx ~use_index ~collection:"h" ~where with
-            | Ok rows ->
-                Ok
-                  (List.map (fun (id, r) -> (id, Record.fields r)) rows,
-                   Syscall.my_labels ctx)
-            | Error e -> Error (Os_error.to_string e))
+      let observe f = run kernel ~name:"observe" ~labels:endorsed f in
+      let select ?limit where ctx =
+        match Query.select ?limit ctx ~collection:"h" ~where with
+        | Ok rows ->
+            Ok
+              (List.map (fun (id, r) -> (id, Record.fields r)) rows,
+               Syscall.my_labels ctx)
+        | Error e -> Error (Os_error.to_string e)
       in
       List.for_all
         (fun where ->
-          match (observe true where, observe false where) with
-          | Ok (rows_i, labels_i), Ok (rows_s, labels_s) ->
-              rows_i = rows_s && Flow.equal_labels labels_i labels_s
-          | Error a, Error b -> a = b
-          | Ok _, Error _ | Error _, Ok _ -> false)
+          let expected = observe (reference ~collection:"h" ~where) in
+          match (expected, observe (select where), observe (select ~limit:1 where)) with
+          | Ok (rows, labels), Ok (rows_s, labels_s), Ok (rows_l, labels_l) ->
+              rows_s = rows
+              && Flow.equal_labels labels_s labels
+              && List.length rows_l = min 1 (List.length rows)
+              && is_prefix rows_l rows
+              && Flow.equal_labels labels_l labels
+          | Error a, Error b, _ -> a = b
+          | _ -> false)
         [
           Query.field_equals "u" "v0";
           Query.field_equals "u" "v9";
@@ -368,16 +378,12 @@ let suite =
     Alcotest.test_case "no aliasing in store" `Quick test_no_aliasing_in_store;
     Alcotest.test_case "field_contains on 1MB value" `Quick
       test_field_contains_large_value;
-    Alcotest.test_case "indexed equals scan" `Quick test_indexed_equals_scan;
-    Alcotest.test_case "acceptance: 50x fewer reads" `Quick
-      test_acceptance_ratio;
-    Alcotest.test_case "indexed taint equals scan taint" `Quick
-      test_indexed_taint_equals_scan_taint;
-    Alcotest.test_case "restricted tag denied identically" `Quick
-      test_restricted_tag_denied_identically;
-    Alcotest.test_case "raw write invalidates index" `Quick
-      test_raw_write_invalidates_index;
-    Alcotest.test_case "stray directory forces fallback" `Quick
-      test_stray_directory_forces_fallback;
+    Alcotest.test_case "taint covers unmatched rows" `Quick
+      test_taint_covers_unmatched_rows;
+    Alcotest.test_case "restricted tag denied" `Quick
+      test_restricted_tag_denied;
+    Alcotest.test_case "raw write is seen" `Quick test_raw_write_is_seen;
+    Alcotest.test_case "stray directory fails" `Quick
+      test_stray_directory_fails;
   ]
-  @ qsuite [ prop_sanitize_roundtrip; prop_indexed_equals_scan ]
+  @ qsuite [ prop_sanitize_roundtrip; prop_select_equals_reference ]

@@ -87,6 +87,38 @@ let prop_record_roundtrip =
       | Ok r' -> Record.equal r r'
       | Error _ -> false)
 
+(* The parser on arbitrary bytes: a row on disk may have been written
+   by anyone (a raw syscall write, a restored snapshot), so decoding
+   must return, never raise, and whatever it accepts must survive a
+   re-encode. Half the inputs come from the escape alphabet so that
+   accepted inputs are common, not only the empty string. *)
+let arb_bytes =
+  let open QCheck.Gen in
+  let escapey =
+    oneof
+      [
+        oneofl [ '='; '%'; '\n'; '2'; '5'; '3'; 'd'; '0'; 'a' ];
+        map Char.chr (32 -- 126);
+      ]
+  in
+  QCheck.make
+    (oneof
+       [
+         string_size (0 -- 40) ~gen:escapey;
+         string_size (0 -- 40) ~gen:(map Char.chr (0 -- 255));
+       ])
+    ~print:(Printf.sprintf "%S")
+
+let prop_record_decode_total =
+  QCheck.Test.make ~name:"record decode total, accepted input re-encodes"
+    ~count:1000 arb_bytes (fun bytes ->
+      match Record.decode bytes with
+      | Error _ -> true
+      | Ok r -> (
+          match Record.decode (Record.encode r) with
+          | Ok r' -> Record.equal r r'
+          | Error _ -> false))
+
 (* ---- object store ---- *)
 
 let with_store f =
@@ -240,7 +272,7 @@ let suite =
     Alcotest.test_case "covert channel blocked at export" `Quick
       test_query_covert_channel_blocked_at_export;
   ]
-  @ qsuite [ prop_record_roundtrip ]
+  @ qsuite [ prop_record_roundtrip; prop_record_decode_total ]
 
 (* ---- additional store edges ---- *)
 
