@@ -36,7 +36,10 @@ test:
 #     and no process-global table or ref outside lib/difc: a top-level
 #     `let x = Hashtbl.create ...` / `let x = ref ...`, on one line or
 #     with the right-hand side on the next (per-platform state goes in
-#     a Kernel.Local slot, which is freed with its kernel).
+#     a Kernel.Local slot, which is freed with its kernel);
+#   - no Kernel.reap caller in lib, bin, examples or test (an ended
+#     process leaves the kernel by itself; the stub stays only for the
+#     end-to-end benchmark).
 check: vet
 	dune build @all && dune runtest
 	dune exec bench/main.exe -- --smoke --json-dir _bench_fresh
@@ -53,6 +56,7 @@ check: vet
 	! grep -rnE "Hashtbl\.find[^_]|List\.find[ )(]|List\.hd|List\.tl" lib/os lib/analysis --include="*.ml"
 	! grep -rnE "^let [a-z_][A-Za-z0-9_']*( *:[^=]*)? *= *(Hashtbl\.create|ref)\b" lib --include="*.ml" --exclude-dir=difc
 	! grep -rnE -A1 "^let [a-z_][A-Za-z0-9_']*( *:[^=]*)? *=$$" lib --include="*.ml" --exclude-dir=difc | grep -E "^[^ ]+-[0-9]+- +(Hashtbl\.create|ref)\b"
+	! grep -rn "Kernel\.reap" lib bin examples test
 
 # Static label-flow analysis of the example platform, with the runtime
 # soundness pass; the JSON form must match the committed golden report

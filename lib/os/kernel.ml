@@ -1,6 +1,8 @@
 open W5_difc
 open W5_obs
 
+module Int_map = Map.Make (Int)
+
 type gate = {
   g_owner : Principal.t;
   g_caps : Capability.Set.t;
@@ -23,10 +25,13 @@ and meters = {
 and t = {
   k_fs : Fs.t;
   k_audit : Audit.log;
+  (* Exactly the live processes: a process enters in [add_proc] and
+     leaves in [finish_proc], [fail_proc] or [kill]. *)
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
-  pending : (Proc.t * body) Queue.t;
-  bodies : (int, body) Hashtbl.t;
+  (* Exactly the [Runnable] processes whose body nobody has taken yet,
+     keyed by pid: pids grow at spawn, so pid order is spawn order. *)
+  mutable runq : (Proc.t * body) Int_map.t;
   gates : (string, gate) Hashtbl.t;
   mutable k_tick : int;
   mutable k_enforcing : bool;
@@ -108,8 +113,7 @@ let create ?(enforcing = true) ?(audit_capacity = default_audit_capacity) () =
       k_audit = Audit.create ~capacity:audit_capacity ();
       procs = Hashtbl.create 64;
       next_pid = 0;
-      pending = Queue.create ();
-      bodies = Hashtbl.create 64;
+      runq = Int_map.empty;
       gates = Hashtbl.create 16;
       k_tick = 0;
       k_enforcing = enforcing;
@@ -230,9 +234,18 @@ let preempt_point k proc =
   | Some hook when k.k_audit_depth = 0 -> hook proc
   | Some _ | None -> ()
 
-let fresh_pid k =
+let add_proc k ~name ~owner ~labels ~caps ~limits =
   k.next_pid <- k.next_pid + 1;
-  k.next_pid
+  let proc = Proc.make ~pid:k.next_pid ~name ~owner ~labels ~caps ~limits in
+  Hashtbl.replace k.procs proc.Proc.pid proc;
+  proc
+
+let enter k ?parent ~name ~owner ~labels ~caps ~limits () =
+  let proc = add_proc k ~name ~owner ~labels ~caps ~limits in
+  Metrics.inc k.k_meters.spawns;
+  let actor = match parent with Some p -> p.Proc.pid | None -> 0 in
+  record k ~pid:actor (Audit.Spawned { child = proc.Proc.pid; name; labels });
+  proc
 
 let spawn k ?parent ~name ~owner ~labels ~caps ~limits body =
   let checked =
@@ -260,68 +273,70 @@ let spawn k ?parent ~name ~owner ~labels ~caps ~limits body =
   match checked with
   | Error _ as e -> e
   | Ok () ->
-      let pid = fresh_pid k in
-      let proc = Proc.make ~pid ~name ~owner ~labels ~caps ~limits in
-      Hashtbl.replace k.procs pid proc;
-      Hashtbl.replace k.bodies pid body;
-      Queue.add (proc, body) k.pending;
-      Metrics.inc k.k_meters.spawns;
-      let actor = match parent with Some p -> p.Proc.pid | None -> 0 in
-      record k ~pid:actor (Audit.Spawned { child = pid; name; labels });
+      let proc = enter k ?parent ~name ~owner ~labels ~caps ~limits () in
+      k.runq <- Int_map.add proc.Proc.pid (proc, body) k.runq;
       Ok proc
 
-(* Completion and failure bookkeeping, shared between the synchronous
-   [run_proc] below and the interleaved scheduler (Sched): both must
-   stamp the finish tick and convert quota kills / stray exceptions
-   into audited [Killed] states. *)
+(* The three ways out of the kernel, shared by [run_proc], Sched,
+   [with_ctx] and services: each records how the process ended and
+   drops it from the table (and, for [kill], the run queue). *)
+let kill k proc ~reason =
+  Proc.kill proc ~reason;
+  Hashtbl.remove k.procs proc.Proc.pid;
+  k.runq <- Int_map.remove proc.Proc.pid k.runq
+
 let finish_proc k proc =
   proc.Proc.state <- Proc.Exited;
-  proc.Proc.finished_tick <- Some k.k_tick
+  proc.Proc.finished_tick <- Some k.k_tick;
+  Hashtbl.remove k.procs proc.Proc.pid
 
 let fail_proc k proc exn =
   (match exn with
   | Quota_kill kind ->
-      Proc.kill proc ~reason:("quota: " ^ Resource.kind_to_string kind);
+      let reason = "quota: " ^ Resource.kind_to_string kind in
+      kill k proc ~reason;
       Metrics.inc k.k_meters.quota_kills
         ~labels:[ ("kind", Resource.kind_to_string kind) ];
       record k ~pid:proc.Proc.pid (Audit.Quota_hit kind);
-      record k ~pid:proc.Proc.pid
-        (Audit.Killed { reason = "quota: " ^ Resource.kind_to_string kind })
+      record k ~pid:proc.Proc.pid (Audit.Killed { reason })
   | exn ->
       let reason = "uncaught: " ^ Printexc.to_string exn in
-      Proc.kill proc ~reason;
+      kill k proc ~reason;
       record k ~pid:proc.Proc.pid (Audit.Killed { reason }));
   proc.Proc.finished_tick <- Some k.k_tick
 
-let run_proc k proc =
-  match proc.Proc.state with
-  | Proc.Running | Proc.Exited | Proc.Killed _ -> ()
-  | Proc.Runnable -> (
-      match Hashtbl.find_opt k.bodies proc.Proc.pid with
-      | None -> finish_proc k proc
-      | Some body -> (
-          proc.Proc.state <- Proc.Running;
-          advance_clock k;
-          try
-            body { kernel = k; proc };
-            finish_proc k proc
-          with exn -> fail_proc k proc exn))
+let exec k proc body =
+  proc.Proc.state <- Proc.Running;
+  advance_clock k;
+  match body { kernel = k; proc } with
+  | () -> finish_proc k proc
+  | exception exn -> fail_proc k proc exn
 
-let run k =
-  let rec drain () =
-    match Queue.take_opt k.pending with
-    | None -> ()
-    | Some (proc, _) ->
-        run_proc k proc;
-        drain ()
-  in
-  drain ()
+let run_proc k proc =
+  match Int_map.find_opt proc.Proc.pid k.runq with
+  | None -> ()
+  | Some (_, body) ->
+      k.runq <- Int_map.remove proc.Proc.pid k.runq;
+      exec k proc body
 
 (* Admission interface for the interleaved scheduler: pull spawned
-   processes off the kernel run queue without executing them. *)
-let take_pending k = Queue.take_opt k.pending
+   processes off the kernel run queue, in pid order, without
+   executing them. *)
+let take_pending k =
+  match Int_map.min_binding_opt k.runq with
+  | None -> None
+  | Some (pid, entry) ->
+      k.runq <- Int_map.remove pid k.runq;
+      Some entry
 
-let pending_count k = Queue.length k.pending
+let rec run k =
+  match take_pending k with
+  | None -> ()
+  | Some (proc, body) ->
+      exec k proc body;
+      run k
+
+let pending_count k = Int_map.cardinal k.runq
 
 let find_proc k pid = Hashtbl.find_opt k.procs pid
 
@@ -329,32 +344,9 @@ let processes k =
   Hashtbl.fold (fun _ p acc -> p :: acc) k.procs []
   |> List.sort (fun a b -> Int.compare a.Proc.pid b.Proc.pid)
 
-let reap k =
-  let dead =
-    Hashtbl.fold
-      (fun pid p acc -> if Proc.is_alive p then acc else pid :: acc)
-      k.procs []
-  in
-  List.iter
-    (fun pid ->
-      Hashtbl.remove k.procs pid;
-      Hashtbl.remove k.bodies pid)
-    dead;
-  (* drop dead processes from the run queue too, or their records
-     (and closures) stay reachable forever *)
-  let live = Queue.create () in
-  Queue.iter
-    (fun ((proc, _) as entry) ->
-      if Proc.is_alive proc then Queue.add entry live)
-    k.pending;
-  Queue.clear k.pending;
-  Queue.transfer live k.pending;
-  List.length dead
-
 let process_count k = Hashtbl.length k.procs
 
-let live_process_count k =
-  Hashtbl.fold (fun _ p acc -> if Proc.is_alive p then acc + 1 else acc) k.procs 0
+let reap _ = 0
 
 let register_gate k ~name ~owner ~caps ~entry =
   Hashtbl.replace k.gates name { g_owner = owner; g_caps = caps; g_entry = entry }
@@ -381,21 +373,17 @@ let invoke_gate k ~caller ~name ~arg =
       with
       | Error kind -> Error (Os_error.Quota_exceeded kind)
       | Ok () ->
-          let pid = fresh_pid k in
           let proc =
-            Proc.make ~pid
+            add_proc k
               ~name:("gate:" ^ name)
               ~owner:gate.g_owner ~labels:caller.Proc.labels ~caps:gate.g_caps
               ~limits:Resource.default_app_limits
           in
-          Hashtbl.replace k.procs pid proc;
-          let body ctx = gate.g_entry ctx arg in
-          Hashtbl.replace k.bodies pid body;
           Metrics.inc k.k_meters.gate_invocations ~labels:[ ("gate", name) ];
           record k ~pid:caller.Proc.pid
-            (Audit.Gate_invoked { gate = name; child = pid });
+            (Audit.Gate_invoked { gate = name; child = proc.Proc.pid });
           Tracer.with_span k.k_tracer
             ~clock:(fun () -> k.k_tick)
             ("gate:" ^ name)
-            (fun () -> run_proc k proc);
+            (fun () -> exec k proc (fun ctx -> gate.g_entry ctx arg));
           Ok proc)

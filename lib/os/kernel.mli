@@ -113,20 +113,32 @@ val spawn :
   t -> ?parent:Proc.t -> name:string -> owner:Principal.t ->
   labels:Flow.labels -> caps:Capability.Set.t -> limits:Resource.limits ->
   body -> (Proc.t, Os_error.t) result
-(** Create a process and queue it. With [parent] set (the normal case
-    for application code) the kernel checks that the child's
-    capabilities are a subset of the parent's and that the child's
-    labels are reachable from the parent's by a safe label change;
-    parentless spawns are reserved for the platform itself. *)
+(** Create a process through {!enter} and put [body] on the run
+    queue. With [parent] set (the normal case for application code)
+    the kernel checks that the child's capabilities are a subset of
+    the parent's and that the child's labels are reachable from the
+    parent's by a safe label change; parentless spawns are reserved
+    for the platform itself. *)
+
+val enter :
+  t -> ?parent:Proc.t -> name:string -> owner:Principal.t ->
+  labels:Flow.labels -> caps:Capability.Set.t -> limits:Resource.limits ->
+  unit -> Proc.t
+(** A [Runnable] process in the table, metered and audited like a
+    spawn (by [parent], else pid 0) but with no body queued: its
+    creator drives it ([Platform.with_ctx], {!Service}) and ends it
+    with {!finish_proc} or {!kill}. Unchecked. *)
 
 val run_proc : t -> Proc.t -> unit
-(** Execute the process body to completion now (if still runnable).
-    Quota kills and uncaught application exceptions are converted to
+(** Take the process's body off the run queue and execute it to
+    completion now; a no-op if the body is no longer queued (already
+    run, admitted by a scheduler, or the process was killed). Quota
+    kills and uncaught application exceptions are converted to
     [Killed] states and audited; they do not escape. *)
 
 val run : t -> unit
-(** Drain the run queue, executing queued processes in FIFO order
-    (processes spawned during the drain are executed too). *)
+(** Drain the run queue, executing queued processes in pid (spawn)
+    order; processes spawned during the drain are executed too. *)
 
 (** {1 Scheduler interface}
 
@@ -136,13 +148,14 @@ val run : t -> unit
     shared completion/failure bookkeeping. *)
 
 val take_pending : t -> (Proc.t * body) option
-(** Pull the next spawned-but-not-yet-run process (and its body) off
-    the kernel run queue without executing it. Used by the scheduler
-    for admission; mutually exclusive with {!run} over the same
-    processes. *)
+(** Take the lowest-pid queued process (and its body) off the kernel
+    run queue without executing it. Used by the scheduler for
+    admission: the body is the scheduler's from then on, and neither
+    {!run} nor {!run_proc} sees it again. *)
 
 val pending_count : t -> int
-(** Processes spawned but not yet admitted or run. *)
+(** The run queue's size: the [Runnable] processes whose body nobody
+    has taken (run, admitted or killed). *)
 
 val set_preempt_hook : t -> (Proc.t -> unit) option -> unit
 (** Install (or clear) the scheduler's preemption callback. While set,
@@ -157,29 +170,39 @@ val preempt_point : t -> Proc.t -> unit
     another process's events interleaved into it. The syscall layer
     calls this at dispatch entry; it is a no-op without a hook. *)
 
+(** {1 Process lifetime}
+
+    The table holds exactly the live processes: one leaves it when it
+    ends, through one of the three functions below. Whoever holds its
+    {!Proc.t} still reads the final state and response. *)
+
 val finish_proc : t -> Proc.t -> unit
-(** Mark a process [Exited] and stamp {!Proc.t.finished_tick}. *)
+(** Mark a process [Exited], stamp {!Proc.t.finished_tick} and drop it
+    from the table. *)
 
 val fail_proc : t -> Proc.t -> exn -> unit
 (** Convert a process-body exception into an audited kill:
     {!Quota_kill} becomes a quota kill (metric + [Quota_hit] +
     [Killed] records), anything else an [uncaught: ...] kill. Stamps
-    the finish tick. Shared by {!run_proc} and the scheduler. *)
+    the finish tick and drops the process from the table. Shared by
+    {!run_proc} and the scheduler. *)
+
+val kill : t -> Proc.t -> reason:string -> unit
+(** [Killed reason], out of the table and off the run queue; nothing
+    is audited. *)
 
 val find_proc : t -> int -> Proc.t option
+(** A live process by pid; [None] once it has ended. *)
+
 val processes : t -> Proc.t list
-
-val reap : t -> int
-(** Drop exited and killed processes (and their bodies) from the
-    process table; returns how many were collected. A long-running
-    provider calls this periodically — the gateway does so
-    automatically once the table exceeds a watermark. *)
-
-val live_process_count : t -> int
+(** The live processes, by pid. *)
 
 val process_count : t -> int
-(** Table size including dead-but-unreaped processes — the reap
-    watermark reads this instead of materializing {!processes}. *)
+(** The number of live processes (the table's size). *)
+
+val reap : t -> int
+(** Always 0: the table never holds an ended process. Kept only for
+    the end-to-end benchmark's caller (perfbench/fed.ml). *)
 
 val register_gate :
   t -> name:string -> owner:Principal.t -> caps:Capability.Set.t ->

@@ -187,20 +187,14 @@ let handler =
     }
 
 (* Pull every process spawned since the last admission point off the
-   kernel run queue. Bodies that were already executed synchronously
-   (e.g. Platform.with_ctx runs its context body immediately) arrive
-   here in a non-[Runnable] state and are skipped. *)
-let admit t =
-  let rec loop () =
-    match Kernel.take_pending t.sk with
-    | None -> ()
-    | Some (proc, body) ->
-        (match proc.Proc.state with
-        | Proc.Runnable -> push t { s_proc = proc; s_resume = Start body }
-        | Proc.Running | Proc.Exited | Proc.Killed _ -> ());
-        loop ()
-  in
-  loop ()
+   kernel run queue, in pid order. The queue holds only bodies nobody
+   has run: a synchronously run process took its own entry out. *)
+let rec admit t =
+  match Kernel.take_pending t.sk with
+  | None -> ()
+  | Some (proc, body) ->
+      push t { s_proc = proc; s_resume = Start body };
+      admit t
 
 let pick t =
   if t.len = 0 then None

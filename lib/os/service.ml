@@ -12,12 +12,10 @@ type t = {
 let create kernel ~name ~owner ?(labels = Flow.bottom)
     ?(caps = Capability.Set.empty) ?(limits = Resource.default_app_limits)
     handler =
-  (* The body never runs: the service is driven by deliver_pending and
-     must stay Runnable (alive) so that senders can reach its mailbox. *)
-  match Kernel.spawn kernel ~name ~owner ~labels ~caps ~limits (fun _ -> ()) with
-  | Error _ as e -> e
-  | Ok service_proc ->
-      Ok { kernel; service_proc; handler; total_handled = 0 }
+  (* No body: the service is driven by deliver_pending and stays
+     Runnable (alive) so that senders can reach its mailbox. *)
+  let service_proc = Kernel.enter kernel ~name ~owner ~labels ~caps ~limits () in
+  Ok { kernel; service_proc; handler; total_handled = 0 }
 
 let pid t = t.service_proc.Proc.pid
 let proc t = t.service_proc
@@ -49,12 +47,12 @@ let deliver_pending t =
         drain ()
       with
       | Kernel.Quota_kill kind ->
-          Proc.kill t.service_proc
+          Kernel.kill t.kernel t.service_proc
             ~reason:("quota: " ^ Resource.kind_to_string kind);
           Error (Os_error.Quota_exceeded kind)
       | exn ->
           let reason = "uncaught: " ^ Printexc.to_string exn in
-          Proc.kill t.service_proc ~reason;
+          Kernel.kill t.kernel t.service_proc ~reason;
           Error (Os_error.Invalid reason)
     in
     Result.map (fun () -> !count) outcome
@@ -69,4 +67,4 @@ let pump services =
           Result.map (fun n -> total + n) (deliver_pending service))
     (Ok 0) services
 
-let shutdown t = Proc.kill t.service_proc ~reason:"shutdown"
+let shutdown t = Kernel.kill t.kernel t.service_proc ~reason:"shutdown"

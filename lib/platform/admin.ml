@@ -25,14 +25,10 @@ let collect platform =
   let kernel = Platform.kernel platform in
   let registry = Platform.registry platform in
   let log = Kernel.audit kernel in
-  (* map still-live pids to the app that owns them: app processes are
-     named by their app id at spawn *)
+  (* pid -> app, from the Spawned records this same pass reads: app
+     processes are named by their app id at spawn, and a process's
+     Spawned record precedes every record it raises *)
   let pid_app = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      if App_registry.find registry p.Proc.proc_name <> None then
-        Hashtbl.replace pid_app p.Proc.pid p.Proc.proc_name)
-    (Kernel.processes kernel);
   let denials_by_app = Hashtbl.create 16 in
   let kills_by_app = Hashtbl.create 16 in
   let bump table key =
@@ -46,7 +42,10 @@ let collect platform =
   Audit.iter log
     ~f:(fun (entry : Audit.entry) ->
       match entry.Audit.event with
-      | Audit.Spawned _ -> incr total_spawned
+      | Audit.Spawned { child; name; _ } ->
+          incr total_spawned;
+          if App_registry.find registry name <> None then
+            Hashtbl.replace pid_app child name
       | Audit.Flow_checked { decision = Error _; _ }
       | Audit.Label_changed { decision = Error _; _ } -> (
           incr total_denials;
@@ -87,7 +86,7 @@ let collect platform =
     users = List.length (Platform.accounts platform);
     apps = List.length (App_registry.list_ids registry);
     requests_served = Platform.requests_served platform;
-    live_processes = Kernel.live_process_count kernel;
+    live_processes = Kernel.process_count kernel;
     total_processes_spawned = !total_spawned;
     audit_entries = Audit.length log;
     total_denials = !total_denials;

@@ -29,9 +29,11 @@ type report = {
 
 val collect : Platform.t -> report
 (** Attribution: a denial belongs to the application whose process
-    raised it (matched through the audit log's pid against the process
-    table, while the process is still unreaped) — processes already
-    reaped count only in the totals. *)
+    raised it, matched through the audit log's pid against the
+    [Spawned] record that named the process after its app — so it
+    holds after the process has exited. A denial whose [Spawned]
+    record the bounded log has already evicted counts only in the
+    totals. *)
 
 val render : report -> string
 (** A plain-text operations summary. *)

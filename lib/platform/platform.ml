@@ -53,25 +53,23 @@ let app_limits t ~app =
 let with_ctx t ~name ?owner ?(labels = Flow.bottom)
     ?(caps = Capability.Set.empty) ?(limits = Resource.unlimited) f =
   let owner = Option.value owner ~default:t.provider in
-  match Kernel.spawn t.kernel ~name ~owner ~labels ~caps ~limits (fun _ -> ())
-  with
-  | Error _ as e -> e
-  | Ok proc -> (
-      (* Replace the no-op body: spawn queued the process but we run
-         it synchronously here and capture f's value through a ref. *)
-      let result = ref (Error (Os_error.Invalid "with_ctx: did not run")) in
-      let ctx = { Kernel.kernel = t.kernel; proc } in
-      proc.Proc.state <- Proc.Running;
-      Kernel.advance_clock t.kernel;
-      (try result := f ctx with
-      | Kernel.Quota_kill kind ->
-          Proc.kill proc ~reason:("quota: " ^ Resource.kind_to_string kind);
-          result := Error (Os_error.Quota_exceeded kind)
-      );
-      (match proc.Proc.state with
-      | Proc.Running -> proc.Proc.state <- Proc.Exited
-      | Proc.Runnable | Proc.Exited | Proc.Killed _ -> ());
-      !result)
+  let kernel = t.kernel in
+  (* f runs here, on a process no run queue ever sees; whichever way
+     f ends, the process leaves the kernel with it *)
+  let proc = Kernel.enter kernel ~name ~owner ~labels ~caps ~limits () in
+  proc.Proc.state <- Proc.Running;
+  Kernel.advance_clock kernel;
+  match f { Kernel.kernel; proc } with
+  | result ->
+      Kernel.finish_proc kernel proc;
+      result
+  | exception Kernel.Quota_kill kind ->
+      Kernel.kill kernel proc ~reason:("quota: " ^ Resource.kind_to_string kind);
+      Error (Os_error.Quota_exceeded kind)
+  | exception exn ->
+      let bt = Printexc.get_raw_backtrace () in
+      Kernel.kill kernel proc ~reason:("uncaught: " ^ Printexc.to_string exn);
+      Printexc.raise_with_backtrace exn bt
 
 let users_root = "/users"
 let apps_root = "/apps"

@@ -75,8 +75,9 @@ val with_ctx :
   (Kernel.ctx -> ('a, Os_error.t) result) -> ('a, Os_error.t) result
 (** Run [f] inside a fresh synchronous process (defaults: provider-
     owned, bottom labels, no caps, unlimited). The workhorse for
-    provider-side operations and tests. A quota kill or uncaught
-    exception surfaces as [Error]. *)
+    provider-side operations and tests. A quota kill surfaces as
+    [Error]; any other exception propagates. Either way the process
+    leaves the kernel's table when [f] ends. *)
 
 (** {1 Accounts} *)
 

@@ -809,3 +809,38 @@ let suite =
       Alcotest.test_case "migrate read-protected account" `Quick
         test_migrate_read_protected_account;
     ]
+
+(* A sync round's provider-side processes leave each kernel as they
+   end: the tables do not grow with the number of rounds. *)
+let test_sync_rounds_leave_no_process () =
+  let a, b, link = setup_linked_user () in
+  let table_sizes () =
+    List.map
+      (fun side ->
+        W5_os.Kernel.process_count (Platform.kernel side.Sync.platform))
+      [ a; b ]
+  in
+  let edit side round =
+    let account = Platform.account_exn side.Sync.platform "zoe" in
+    ignore
+      (ok_os
+         (Platform.write_user_record side.Sync.platform account ~file:"friends"
+            (Record.of_fields
+               [ ("friends", Printf.sprintf "%s-%d" side.Sync.provider_name round) ])))
+  in
+  ignore (ok_s (Sync.sync link));
+  let first = table_sizes () in
+  for round = 1 to 20 do
+    edit (if round mod 2 = 0 then a else b) round;
+    ignore (ok_s (Sync.sync link));
+    check (Alcotest.list int_c)
+      (Printf.sprintf "table sizes after round %d" round)
+      first (table_sizes ())
+  done
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "sync rounds leave no process" `Quick
+        test_sync_rounds_leave_no_process;
+    ]

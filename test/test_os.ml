@@ -590,18 +590,27 @@ let test_enforcement_off_allows_everything () =
   | Proc.Killed _ -> ()
   | _ -> Alcotest.fail "quota ignored with enforcement off"
 
+(* An exited process leaves the table by itself: nothing to reap. *)
 let test_reap () =
   let kernel = Kernel.create () in
-  List.iter
-    (fun i -> run_value kernel ~name:(Printf.sprintf "worker%d" i) (fun _ -> ()))
-    (List.init 5 Fun.id);
+  let workers =
+    List.map
+      (fun i -> fst (run kernel ~name:(Printf.sprintf "worker%d" i) (fun _ -> ())))
+      (List.init 5 Fun.id)
+  in
   let dormant = spawn_dormant kernel ~name:"keeper" () in
-  check int_c "alive" 1 (Kernel.live_process_count kernel);
-  let reaped = Kernel.reap kernel in
-  check int_c "reaped" 5 reaped;
+  check int_c "alive" 1 (Kernel.process_count kernel);
+  check int_c "exited workers left the table" 5
+    (List.length
+       (List.filter
+          (fun p ->
+            p.Proc.state = Proc.Exited && Kernel.find_proc kernel p.Proc.pid = None)
+          workers));
   check bool_c "keeper survives" true
     (Kernel.find_proc kernel dormant.Proc.pid <> None);
-  check int_c "second reap finds nothing" 0 (Kernel.reap kernel)
+  check (Alcotest.list int_c) "table holds only the keeper"
+    [ dormant.Proc.pid ]
+    (List.map (fun p -> p.Proc.pid) (Kernel.processes kernel))
 
 let test_respond_and_debug_note () =
   let kernel = Kernel.create () in
@@ -627,22 +636,17 @@ let test_respond_and_debug_note () =
 let test_spawned_children_inherit_taint_rules () =
   let kernel = Kernel.create () in
   let tag = Tag.fresh ~name:"child.s" Tag.Secrecy in
-  run_value kernel ~name:"parent" (fun ctx ->
-      ok (Syscall.add_taint ctx (Label.singleton tag));
-      (* child with same labels: fine; runs with the taint *)
-      let child =
-        ok (Syscall.spawn ctx ~name:"kid" (fun kid_ctx ->
-                assert (Label.mem tag (Syscall.my_labels kid_ctx).Flow.secrecy)))
-      in
-      ignore child);
+  let kid =
+    run_value kernel ~name:"parent" (fun ctx ->
+        ok (Syscall.add_taint ctx (Label.singleton tag));
+        (* child with same labels: fine; runs with the taint *)
+        ok
+          (Syscall.spawn ctx ~name:"kid" (fun kid_ctx ->
+               assert (Label.mem tag (Syscall.my_labels kid_ctx).Flow.secrecy))))
+  in
   Kernel.run kernel;
   (* the assertion inside the child would have killed it; verify it exited *)
-  let kid =
-    List.find_opt (fun p -> p.Proc.proc_name = "kid") (Kernel.processes kernel)
-  in
-  match kid with
-  | Some p -> check bool_c "child exited cleanly" true (p.Proc.state = Proc.Exited)
-  | None -> Alcotest.fail "child missing"
+  check bool_c "child exited cleanly" true (kid.Proc.state = Proc.Exited)
 
 let suite =
   suite
@@ -752,6 +756,28 @@ let test_service_label_is_policy () =
   expect_denied "notifier cannot leak"
     (Syscall.send ctx ~to_:clean.Proc.pid "data arrived!")
 
+let test_service_survives_drain () =
+  let kernel = Kernel.create () in
+  let seen = ref [] in
+  let service =
+    ok
+      (Service.create kernel ~name:"survivor"
+         ~owner:(Kernel.kernel_principal kernel)
+         (fun _ctx msg -> seen := msg.Proc.body :: !seen))
+  in
+  ignore (Sched.run kernel);
+  Kernel.run kernel;
+  check bool_c "alive after both drains" true (Service.is_alive service);
+  check bool_c "still in the table" true
+    (Kernel.find_proc kernel (Service.pid service) <> None);
+  run_value kernel ~name:"sender" (fun ctx ->
+      ok (Syscall.send ctx ~to_:(Service.pid service) "after the drain"));
+  check int_c "delivered" 1 (ok (Service.deliver_pending service));
+  check (Alcotest.list string_c) "handled" [ "after the drain" ] !seen;
+  Service.shutdown service;
+  check bool_c "shutdown leaves the table" true
+    (Kernel.find_proc kernel (Service.pid service) = None)
+
 let test_service_quota_kill () =
   let kernel = Kernel.create () in
   let service =
@@ -783,6 +809,8 @@ let suite =
       Alcotest.test_case "service label is policy" `Quick
         test_service_label_is_policy;
       Alcotest.test_case "service quota kill" `Quick test_service_quota_kill;
+      Alcotest.test_case "service survives a drain" `Quick
+        test_service_survives_drain;
     ]
 
 (* ---- property tests on the filesystem ---- *)

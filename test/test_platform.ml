@@ -1539,3 +1539,125 @@ let suite =
       Alcotest.test_case "rate limit bounded under distinct clients" `Quick
         test_rate_limit_bounded;
     ]
+
+(* ---- process lifetime: a process leaves the kernel when it ends ---- *)
+
+let test_admin_attribution_after_exits () =
+  let platform = fresh_platform () in
+  ignore (signup platform "alice");
+  ignore (signup platform "mallory");
+  let dev = Principal.make Principal.Developer "mal" in
+  ignore (W5_apps.Malicious.publish_all platform ~dev);
+  (match Platform.enable_app platform ~user:"mallory" ~app:"mal/thief" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let mallory = Browser.make ~name:"mallory" (Gateway.handler platform) in
+  ignore
+    (Browser.post mallory "/login"
+       ~form:[ ("user", "mallory"); ("pass", "mallory-pw") ]);
+  let steal () =
+    ignore (Browser.get mallory "/app/mal/thief" ~params:[ ("target", "alice") ])
+  in
+  steal ();
+  steal ();
+  steal ();
+  (* provider-side work far past any table watermark *)
+  for _ = 1 to 600 do
+    ignore (ok_os (Platform.with_ctx platform ~name:"chore" (fun _ -> Ok ())))
+  done;
+  steal ();
+  let report = Admin.collect platform in
+  let thief =
+    List.find (fun s -> s.Admin.app_id = "mal/thief") report.Admin.per_app
+  in
+  check bool_c "every exited thief's denials attributed" true
+    (thief.Admin.denials >= 4);
+  check bool_c "still flagged as suspicious" true
+    (List.mem "mal/thief" (Admin.suspicious_apps report))
+
+let test_with_ctx_leaves_no_process () =
+  let platform = fresh_platform () in
+  let kernel = Platform.kernel platform in
+  let procs =
+    List.init 2000 (fun _ ->
+        ok_os
+          (Platform.with_ctx platform ~name:"probe" (fun ctx ->
+               Ok ctx.W5_os.Kernel.proc)))
+  in
+  check int_c "table empty" 0 (W5_os.Kernel.process_count kernel);
+  check bool_c "table holds no exited process" true
+    (List.for_all W5_os.Proc.is_alive (W5_os.Kernel.processes kernel));
+  check bool_c "every probe exited and is gone" true
+    (List.for_all
+       (fun p ->
+         p.W5_os.Proc.state = W5_os.Proc.Exited
+         && W5_os.Kernel.find_proc kernel p.W5_os.Proc.pid = None)
+       procs);
+  check int_c "nothing queued" 0 (W5_os.Kernel.pending_count kernel);
+  (* a quota kill is an Error, another exception propagates: either
+     way the process leaves the table *)
+  let quota =
+    Platform.with_ctx platform ~name:"hog"
+      ~limits:(W5_os.Resource.make_limits ~cpu:1 ())
+      (fun ctx ->
+        let rec burn () =
+          ignore (W5_os.Syscall.file_exists ctx "/");
+          burn ()
+        in
+        burn ())
+  in
+  (match quota with
+  | Error (W5_os.Os_error.Quota_exceeded _) -> ()
+  | Ok () | Error _ -> Alcotest.fail "expected a quota error");
+  (match Platform.with_ctx platform ~name:"raiser" (fun _ -> raise Exit) with
+  | exception Exit -> ()
+  | Ok () | Error _ -> Alcotest.fail "exception swallowed");
+  check int_c "killed processes gone" 0 (W5_os.Kernel.process_count kernel)
+
+let test_handler_leaves_nothing_queued () =
+  let society =
+    W5_workload.Populate.build ~seed:5 ~users:4 ~friends_per_user:1
+      ~photos_per_user:1 ~blog_posts_per_user:1 ()
+  in
+  let platform = society.W5_workload.Populate.platform in
+  let kernel = Platform.kernel platform in
+  let users = society.W5_workload.Populate.users in
+  let viewer = List.hd users in
+  let headers = session_headers platform viewer in
+  let paths =
+    "/" :: "/me"
+    :: List.concat_map
+         (fun target ->
+           [
+             Uri.with_query ("/app/" ^ society.social_id) [ ("user", target) ];
+             Uri.with_query
+               ("/app/" ^ society.photo_id)
+               [ ("action", "list"); ("user", target) ];
+             Uri.with_query
+               ("/app/" ^ society.blog_id)
+               [ ("action", "read"); ("user", target) ];
+           ])
+         users
+  in
+  check int_c "nothing queued after login" 0 (W5_os.Kernel.pending_count kernel);
+  List.iter
+    (fun path ->
+      ignore
+        (Gateway.handler platform
+           (Request.make ~headers ~client:viewer Request.GET path));
+      check int_c ("nothing queued after " ^ path) 0
+        (W5_os.Kernel.pending_count kernel);
+      check int_c ("no process left after " ^ path) 0
+        (W5_os.Kernel.process_count kernel))
+    paths
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "admin attribution after exits" `Quick
+        test_admin_attribution_after_exits;
+      Alcotest.test_case "with_ctx leaves no process" `Quick
+        test_with_ctx_leaves_no_process;
+      Alcotest.test_case "handler leaves nothing queued" `Quick
+        test_handler_leaves_nothing_queued;
+    ]

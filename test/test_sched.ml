@@ -74,8 +74,9 @@ let fresh_kernel () =
   Kernel.run kernel;
   kernel
 
+(* The spawned processes, in mix order. *)
 let spawn_mix kernel mix =
-  List.iteri
+  List.mapi
     (fun i steps ->
       match
         Kernel.spawn kernel
@@ -84,7 +85,7 @@ let spawn_mix kernel mix =
           ~labels:Flow.bottom ~caps:Capability.Set.empty
           ~limits:Resource.default_app_limits (body_of i steps)
       with
-      | Ok _ -> ()
+      | Ok proc -> proc
       | Error e -> Alcotest.failf "spawn p%d: %s" i (Os_error.to_string e))
     mix
 
@@ -124,7 +125,7 @@ let fs_image kernel =
 
 let run_scheduled ~seed ~quantum mix =
   let kernel = fresh_kernel () in
-  spawn_mix kernel mix;
+  ignore (spawn_mix kernel mix);
   let stats = Sched.run ~quantum ~policy:(Sched.Seeded seed) kernel in
   (kernel, stats)
 
@@ -133,7 +134,7 @@ let run_scheduled ~seed ~quantum mix =
 let test_preemption_interleaves () =
   let mix = [ List.init 20 (fun n -> Burn n); List.init 20 (fun n -> Burn n) ] in
   let kernel = fresh_kernel () in
-  spawn_mix kernel mix;
+  let procs = spawn_mix kernel mix in
   let stats = Sched.run ~quantum:1 ~policy:Sched.Fifo kernel in
   check int_c "both completed" 2 stats.Sched.completed;
   check bool_c "preempted repeatedly" true (stats.Sched.preemptions > 4);
@@ -142,39 +143,36 @@ let test_preemption_interleaves () =
   (* every process is runnable-to-exit exactly once *)
   List.iter
     (fun p ->
-      if p.Proc.proc_name <> "setup" then begin
-        check bool_c "exited" true (p.Proc.state = Proc.Exited);
-        check bool_c "finish tick stamped" true (p.Proc.finished_tick <> None)
-      end)
-    (Kernel.processes kernel)
+      check bool_c "exited" true (p.Proc.state = Proc.Exited);
+      check bool_c "finish tick stamped" true (p.Proc.finished_tick <> None))
+    procs
 
 let test_quota_kill_mid_slice () =
   let kernel = fresh_kernel () in
   (* a hog: burns CPU forever, with a tight limit; a neighbour that
      must be unaffected *)
-  (match
-     Kernel.spawn kernel ~name:"hog"
-       ~owner:(Principal.make Principal.Developer "hog")
-       ~labels:Flow.bottom ~caps:Capability.Set.empty
-       ~limits:(Resource.make_limits ~cpu:25 ())
-       (fun ctx ->
-         ignore (Syscall.create_file ctx "/mix/hog-before" ~labels:Flow.bottom
-                   ~data:"written before the kill");
-         let rec burn () =
-           ignore (Syscall.consume ctx ~cpu:1);
-           burn ()
-         in
-         burn ())
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "spawn hog: %s" (Os_error.to_string e));
-  spawn_mix kernel [ List.init 10 (fun n -> Write n) ];
+  let hog =
+    match
+      Kernel.spawn kernel ~name:"hog"
+        ~owner:(Principal.make Principal.Developer "hog")
+        ~labels:Flow.bottom ~caps:Capability.Set.empty
+        ~limits:(Resource.make_limits ~cpu:25 ())
+        (fun ctx ->
+          ignore (Syscall.create_file ctx "/mix/hog-before" ~labels:Flow.bottom
+                    ~data:"written before the kill");
+          let rec burn () =
+            ignore (Syscall.consume ctx ~cpu:1);
+            burn ()
+          in
+          burn ())
+    with
+    | Ok proc -> proc
+    | Error e -> Alcotest.failf "spawn hog: %s" (Os_error.to_string e)
+  in
+  ignore (spawn_mix kernel [ List.init 10 (fun n -> Write n) ]);
   let stats = Sched.run ~quantum:3 ~policy:(Sched.Seeded 7) kernel in
   check int_c "hog killed" 1 stats.Sched.killed;
   check int_c "neighbour completed" 1 stats.Sched.completed;
-  let hog =
-    List.find (fun p -> p.Proc.proc_name = "hog") (Kernel.processes kernel)
-  in
   (match hog.Proc.state with
   | Proc.Killed reason ->
       check bool_c "killed by quota" true
@@ -287,17 +285,22 @@ let test_admission_skips_executed_bodies () =
 
 let test_process_count_matches () =
   let kernel = fresh_kernel () in
-  spawn_mix kernel [ [ Write 0 ]; [ Write 1 ]; [ Burn 2 ] ];
+  let procs = spawn_mix kernel [ [ Write 0 ]; [ Write 1 ]; [ Burn 2 ] ] in
+  let pids ps = List.map (fun p -> p.Proc.pid) ps in
   check int_c "count = table size" (List.length (Kernel.processes kernel))
     (Kernel.process_count kernel);
+  check (Alcotest.list int_c) "table = the spawned mix" (pids procs)
+    (pids (Kernel.processes kernel));
   ignore (Sched.run kernel);
   check int_c "count = table size after run"
     (List.length (Kernel.processes kernel))
     (Kernel.process_count kernel);
-  ignore (Kernel.reap kernel);
-  check int_c "count = table size after reap"
-    (List.length (Kernel.processes kernel))
-    (Kernel.process_count kernel)
+  check int_c "drained mix left the table" 0 (Kernel.process_count kernel);
+  List.iter
+    (fun p ->
+      check bool_c "exited" true (p.Proc.state = Proc.Exited);
+      check bool_c "not found" true (Kernel.find_proc kernel p.Proc.pid = None))
+    procs
 
 (* ---- properties ---- *)
 
@@ -345,7 +348,7 @@ let prop_interleaved_converges_to_sequential =
     (fun (seed, quantum, mix) ->
       let k1, _ = run_scheduled ~seed ~quantum mix in
       let k2 = fresh_kernel () in
-      spawn_mix k2 mix;
+      ignore (spawn_mix k2 mix);
       Kernel.run k2;
       fs_image k1 = fs_image k2)
 
