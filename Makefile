@@ -33,13 +33,18 @@ test:
 #   - grep gates on lib/: no bare failwith/assert false (syscall-
 #     and gateway-reachable paths return typed Os_error results), no
 #     raising lookups in lib/os and lib/analysis (use the _opt forms),
-#     and no process-global table or ref outside lib/difc: a top-level
+#     and no process-global table or ref: a top-level
 #     `let x = Hashtbl.create ...` / `let x = ref ...`, on one line or
 #     with the right-hand side on the next (per-platform state goes in
-#     a Kernel.Local slot, which is freed with its kernel);
-#   - no Kernel.reap caller in lib, bin, examples or test (an ended
-#     process leaves the kernel by itself; the stub stays only for the
-#     end-to-end benchmark).
+#     a Kernel.Local slot, which is freed with its kernel); the only
+#     two allowed, by exact match, are the tag and principal id
+#     counters in lib/difc, which keep ids unique across platforms;
+#   - no Kernel.reap, Kernel.sync_cache_metrics or Memo caller in lib,
+#     bin, examples or test (an ended process leaves the kernel by
+#     itself and the label algebra keeps no cache; the no-op stubs
+#     stay only for the end-to-end benchmark);
+#   - no Tag.make caller outside lib/os/fs.ml (the filesystem image
+#     reader is the only place a tag is rebuilt from its parts).
 check: vet
 	dune build @all && dune runtest
 	dune exec bench/main.exe -- --smoke --json-dir _bench_fresh
@@ -54,9 +59,10 @@ check: vet
 	python3 perfbench/run.py --self-test
 	! grep -rnE "failwith|assert false" lib --include="*.ml" --include="*.mli"
 	! grep -rnE "Hashtbl\.find[^_]|List\.find[ )(]|List\.hd|List\.tl" lib/os lib/analysis --include="*.ml"
-	! grep -rnE "^let [a-z_][A-Za-z0-9_']*( *:[^=]*)? *= *(Hashtbl\.create|ref)\b" lib --include="*.ml" --exclude-dir=difc
-	! grep -rnE -A1 "^let [a-z_][A-Za-z0-9_']*( *:[^=]*)? *=$$" lib --include="*.ml" --exclude-dir=difc | grep -E "^[^ ]+-[0-9]+- +(Hashtbl\.create|ref)\b"
-	! grep -rn "Kernel\.reap" lib bin examples test
+	! grep -rnE "^let [a-z_][A-Za-z0-9_']*( *:[^=]*)? *= *(Hashtbl\.create|ref)\b" lib --include="*.ml" | grep -vxE "lib/difc/(tag|principal)\.ml:[0-9]+:let counter = ref 0"
+	! grep -rnE -A1 "^let [a-z_][A-Za-z0-9_']*( *:[^=]*)? *=$$" lib --include="*.ml" | grep -E "^[^ ]+-[0-9]+- +(Hashtbl\.create|ref)\b"
+	! grep -rnE "Kernel\.(reap|sync_cache_metrics)|Memo\." lib bin examples test
+	! grep -rn "Tag\.make" lib bin examples test | grep -v "^lib/os/fs.ml:"
 
 # Static label-flow analysis of the example platform, with the runtime
 # soundness pass; the JSON form must match the committed golden report

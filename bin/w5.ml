@@ -570,8 +570,6 @@ let stats seed users format =
   | Some (viewer, owner) ->
       let client = W5_workload.Populate.login society viewer in
       ignore (Client.get client "/app/core/social" ~params:[ ("user", owner) ]));
-  (* publish the label-algebra memo-cache counters before dumping *)
-  W5_os.Kernel.sync_cache_metrics kernel;
   (* static-analysis finding counts, bucketed by severity only — the
      label values are a closed set, so nothing user-derived can ride
      along into the exposition *)

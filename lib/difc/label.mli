@@ -5,11 +5,12 @@
     union and meet is intersection. All operations are purely
     functional.
 
-    Labels are hash-consed on demand: {!intern} maps a label to a
-    canonical representative with a process-unique content id, which
-    {!equal} and {!compare} use as a shortcut. {!subset} and {!union}
-    are the plain set operations. Compare labels only with {!equal} /
-    {!compare} — the cached id makes polymorphic structural equality
+    A label is the immutable tag set itself — a balanced tree, with no
+    wrapper, cache or intern pool. {!subset}, {!union} and the rest are
+    the plain set operations, short-circuited when both arguments are
+    physically equal or one is empty. Compare labels only with
+    {!equal} / {!compare}: two equal sets built in different orders
+    can differ in tree shape, so polymorphic structural equality is
     unreliable. *)
 
 type t
@@ -23,16 +24,6 @@ val to_list : t -> Tag.t list
 val add : Tag.t -> t -> t
 val remove : Tag.t -> t -> t
 val mem : Tag.t -> t -> bool
-
-val intern : t -> t
-(** The canonical representative for this tag-set content. Interned
-    equality is physical equality (until a pool flush re-canonicalizes
-    the content under a fresh id — never observable except as a cache
-    miss). Also caches the content id on the argument itself. *)
-
-val interned_id : t -> int
-(** The content id (> 0), interning first if needed. Equal ids imply
-    equal labels; distinct ids imply nothing. *)
 
 val union : t -> t -> t
 (** Lattice join: the label of data derived from two sources. *)

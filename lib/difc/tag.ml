@@ -2,53 +2,39 @@ type kind =
   | Secrecy
   | Integrity
 
-type t = int
-
-type meta = {
-  m_name : string;
-  m_kind : kind;
-  m_restricted : bool;
+type t = {
+  id : int;
+  kind : kind;
+  restricted : bool;
+  name : string;
 }
 
-(* Tag metadata lives in a side table so the tag value itself stays a
-   bare integer, which keeps label-set operations allocation-free. *)
+(* Process-wide so ids stay unique across every platform in one
+   process; only [fresh] and [make] move it, and only upwards. *)
 let counter = ref 0
-let metas : (int, meta) Hashtbl.t = Hashtbl.create 256
 
-let fresh ?name ?(restricted = false) k =
+let fresh ?name ?(restricted = false) kind =
   incr counter;
   let id = !counter in
-  let n =
+  let name =
     match name with
     | Some n -> n
     | None -> Printf.sprintf "tag#%d" id
   in
-  Hashtbl.replace metas id { m_name = n; m_kind = k; m_restricted = restricted };
-  id
+  { id; kind; restricted; name }
 
-let meta t = Hashtbl.find_opt metas t
+let make ~id ~name ~restricted kind =
+  if id > !counter then counter := id;
+  { id; kind; restricted; name }
 
-let kind t =
-  match meta t with
-  | Some m -> m.m_kind
-  | None -> Secrecy
-
-let restricted t =
-  match meta t with
-  | Some m -> m.m_restricted
-  | None -> false
-
-let name t =
-  match meta t with
-  | Some m -> m.m_name
-  | None -> Printf.sprintf "tag#%d" t
-
-let id t = t
-let of_id i = if Hashtbl.mem metas i then Some i else None
-let compare = Int.compare
-let equal = Int.equal
-let hash = Hashtbl.hash
+let kind t = t.kind
+let restricted t = t.restricted
+let name t = t.name
+let id t = t.id
+let compare a b = Int.compare a.id b.id
+let equal a b = a.id = b.id
+let hash t = Hashtbl.hash t.id
 
 let pp fmt t =
-  let k = match kind t with Secrecy -> "s" | Integrity -> "i" in
-  Format.fprintf fmt "%s:%s#%d" k (name t) t
+  let k = match t.kind with Secrecy -> "s" | Integrity -> "i" in
+  Format.fprintf fmt "%s:%s#%d" k t.name t.id

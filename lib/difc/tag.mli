@@ -4,7 +4,12 @@
     [Krohn et al., SOSP 2007]). Every user secret, every integrity
     domain, is represented by one tag. Labels ({!Label.t}) are sets of
     tags; capabilities ({!Capability.t}) confer the right to add or
-    remove a given tag from one's own label. *)
+    remove a given tag from one's own label.
+
+    A tag is an immutable value that carries its own kind,
+    read-protection bit and name; no table stands behind it. Its
+    identity is its integer id alone: {!compare}, {!equal} and
+    {!hash} read nothing else. *)
 
 type t
 (** An opaque tag. Tags are totally ordered and hashable so that they
@@ -42,13 +47,19 @@ val name : t -> string
 
 val id : t -> int
 (** [id t] is the unique integer identity of [t]. Exposed for stable
-    serialization; reconstruct tags only through {!of_id}. *)
+    serialization. *)
 
-val of_id : int -> t option
-(** The registered tag with this identity, if any — the inverse of
-    {!id} for deserialization (filesystem snapshots, federation). *)
+val make : id:int -> name:string -> restricted:bool -> kind -> t
+(** [make ~id ~name ~restricted kind] rebuilds a tag from its parts,
+    for deserialization: the filesystem image reader ([Fs.restore_into]
+    in [lib/os]) is its only caller.
+    It raises the id counter to at least [id], so a later {!fresh}
+    never hands out [id] again. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
+(** ["s:name#id"] or ["i:name#id"]. The id is process state shared by
+    every platform in the process: fit for audit output, not for text
+    a client receives. *)

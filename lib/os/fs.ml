@@ -280,8 +280,10 @@ let generation fs = fs.generation
 
 (* ---- snapshot / restore ----
    Line-oriented image; names and file data are hex-encoded so the
-   format needs no quoting rules. Labels are stored as tag-id lists.
+   format needs no quoting rules. Every tag the labels use is declared
+   once, in id order, before the tree; labels are then tag-id lists.
 
+     T <id> <s|i> <0|1> <hexname>
      D <hexname> <version> <s-ids> <i-ids> <child-count>
      F <hexname> <version> <s-ids> <i-ids> <hexdata>
 
@@ -320,22 +322,47 @@ let encode_label label =
   | [] -> "-"
   | tags -> String.concat "," (List.map (fun t -> string_of_int (Tag.id t)) tags)
 
-let decode_label s =
+let encode_tag t =
+  Printf.sprintf "T %d %s %d %s\n" (Tag.id t)
+    (match Tag.kind t with Tag.Secrecy -> "s" | Tag.Integrity -> "i")
+    (Bool.to_int (Tag.restricted t))
+    (hex_encode (Tag.name t))
+
+let decode_tag = function
+  | [ "T"; id; kind; restricted; hexname ] -> (
+      let kind =
+        match kind with
+        | "s" -> Some Tag.Secrecy
+        | "i" -> Some Tag.Integrity
+        | _ -> None
+      and restricted =
+        match restricted with "0" -> Some false | "1" -> Some true | _ -> None
+      in
+      match (int_of_string_opt id, kind, restricted, hex_decode hexname) with
+      | Some id, Some kind, Some restricted, Ok name when id > 0 ->
+          Ok (Tag.make ~id ~name ~restricted kind)
+      | _ -> Error "bad tag line")
+  | _ -> Error "bad tag line"
+
+(* Ids resolve only against the tags the image itself declares. *)
+let decode_label tags s =
   if s = "-" then Ok Label.empty
   else
     let ids = String.split_on_char ',' s in
     let rec go acc = function
       | [] -> Ok acc
       | id_str :: rest -> (
-          match Option.bind (int_of_string_opt id_str) Tag.of_id with
+          match Option.bind (int_of_string_opt id_str) (Hashtbl.find_opt tags) with
           | Some tag -> go (Label.add tag acc) rest
           | None -> Error ("unknown tag id " ^ id_str))
     in
     go Label.empty ids
 
 let snapshot fs =
-  let buf = Buffer.create 4096 in
+  let tree = Buffer.create 4096 in
+  let used = ref Label.empty in
   let emit_labels (l : Flow.labels) =
+    used := Label.union l.Flow.secrecy (Label.union l.Flow.integrity !used);
     encode_label l.Flow.secrecy ^ " " ^ encode_label l.Flow.integrity
   in
   let rec emit_dir name (d : dir) =
@@ -343,7 +370,7 @@ let snapshot fs =
       Hashtbl.fold (fun child_name node acc -> (child_name, node) :: acc) d.entries []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     in
-    Buffer.add_string buf
+    Buffer.add_string tree
       (Printf.sprintf "D %s %d %s %d\n" (hex_encode name) d.d_version
          (emit_labels d.d_labels) (List.length children));
     List.iter
@@ -351,20 +378,39 @@ let snapshot fs =
         match node with
         | Dir child -> emit_dir child_name child
         | File f ->
-            Buffer.add_string buf
+            Buffer.add_string tree
               (Printf.sprintf "F %s %d %s %s\n" (hex_encode child_name)
                  f.f_version (emit_labels f.f_labels) (hex_encode f.data)))
       children
   in
   emit_dir "/" fs.root;
+  let buf = Buffer.create (Buffer.length tree + 256) in
+  Label.iter (fun t -> Buffer.add_string buf (encode_tag t)) !used;
+  Buffer.add_buffer buf tree;
   Buffer.contents buf
 
 let restore_into fs image =
   let lines = Array.of_list (String.split_on_char '\n' image) in
   let pos = ref 0 in
   let fail msg = Error (Os_error.Invalid ("fs image: " ^ msg)) in
+  let tags = Hashtbl.create 16 in
+  let rec parse_tags () =
+    if !pos >= Array.length lines then Ok ()
+    else
+      match String.split_on_char ' ' lines.(!pos) with
+      | "T" :: _ as fields -> (
+          match decode_tag fields with
+          | Error e -> fail e
+          | Ok tag when Hashtbl.mem tags (Tag.id tag) ->
+              fail ("duplicate tag id " ^ string_of_int (Tag.id tag))
+          | Ok tag ->
+              Hashtbl.replace tags (Tag.id tag) tag;
+              incr pos;
+              parse_tags ())
+      | _ -> Ok ()
+  in
   let parse_labels s_field i_field =
-    match (decode_label s_field, decode_label i_field) with
+    match (decode_label tags s_field, decode_label tags i_field) with
     | Ok secrecy, Ok integrity -> Ok { Flow.secrecy; integrity }
     | Error e, _ | _, Error e -> Error (Os_error.Invalid ("fs image: " ^ e))
   in
@@ -413,7 +459,7 @@ let restore_into fs image =
   in
   let saved_count = fs.file_count in
   fs.file_count <- 0;
-  match parse_entry () with
+  match Result.bind (parse_tags ()) parse_entry with
   | Ok ("/", Dir d) ->
       Hashtbl.reset fs.root.entries;
       Hashtbl.iter (Hashtbl.replace fs.root.entries) d.entries;

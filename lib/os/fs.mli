@@ -76,17 +76,23 @@ val generation : t -> int
     when the pair has moved since the last round (ROADMAP.md). *)
 
 val snapshot : t -> string
-(** Serialize the whole tree — data, labels (by tag identity) and
-    versions — into a deterministic text image. Together with
-    {!restore_into} this is the provider's durability story: the
-    simulated disk can be checkpointed and reloaded across a kernel
-    restart within the same provider process (tag identities are
-    provider state and persist with it; see DESIGN.md §2). *)
+(** Serialize the whole tree — data, labels and versions — into a
+    deterministic text image. The image first declares every tag its
+    labels use, once each and in id order, with the tag's id, kind,
+    read-protection bit and name; labels then name tags by id.
+    Together with {!restore_into} this is the provider's durability
+    story: the simulated disk can be checkpointed and reloaded into
+    any filesystem, a fresh one included. *)
 
 val restore_into : t -> string -> (unit, Os_error.t) result
-(** Replace [t]'s contents with a {!snapshot} image. Labels referring
-    to tags unknown to this provider are an error, not a silent drop —
-    losing a label would declassify. *)
+(** Replace [t]'s contents with a {!snapshot} image. A label id
+    resolves only against the tags the image itself declares: an id
+    no declaration names, a malformed or duplicate declaration, is
+    [Invalid] and leaves [t] untouched, never a silent drop — losing a
+    label would declassify. Restored tags keep their id, kind,
+    read-protection bit and name, and a later {!Tag.fresh} returns an
+    id above every declared one. The image is trusted provider state
+    (DESIGN.md §14). *)
 
 val dirname : string -> string
 val basename : string -> string

@@ -240,8 +240,5 @@ val with_audit_batch : t -> (unit -> 'a) -> 'a
     dispatch wraps every syscall in one of these. *)
 
 val sync_cache_metrics : t -> unit
-(** Republish the label-algebra cache counters
-    ({!W5_difc.Memo.snapshots}; today only the ["intern"] pool) as
-    [w5_label_cache_*] gauges in this kernel's registry, labeled by
-    cache name. Call before exposition; the pool is process-global, so
-    the gauges describe the process, not just this kernel. *)
+(** A no-op: the label algebra keeps no cache to publish. Kept only
+    for the end-to-end benchmark's caller (perfbench/harness.ml). *)

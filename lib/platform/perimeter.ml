@@ -7,15 +7,18 @@ type refusal =
   | Gate_failed of { tag : Tag.t; gate : string; error : string }
   | Unknown_tag of Tag.t
 
+(* The refusal text becomes the 403 body a client receives, so it
+   names the tag and never prints its process-global id. *)
 let pp_refusal fmt = function
   | No_rule tag ->
-      Format.fprintf fmt "no declassifier authorized for %a" Tag.pp tag
+      Format.fprintf fmt "no declassifier authorized for %s" (Tag.name tag)
   | Refused_by { tag; gate } ->
-      Format.fprintf fmt "declassifier %s refused export of %a" gate Tag.pp tag
+      Format.fprintf fmt "declassifier %s refused export of %s" gate
+        (Tag.name tag)
   | Gate_failed { tag; gate; error } ->
-      Format.fprintf fmt "declassifier %s failed on %a: %s" gate Tag.pp tag
+      Format.fprintf fmt "declassifier %s failed on %s: %s" gate (Tag.name tag)
         error
-  | Unknown_tag tag -> Format.fprintf fmt "unowned tag %a" Tag.pp tag
+  | Unknown_tag tag -> Format.fprintf fmt "unowned tag %s" (Tag.name tag)
 
 let refusal_to_string r = Format.asprintf "%a" pp_refusal r
 

@@ -28,6 +28,10 @@ type refusal =
   | Unknown_tag of Tag.t    (** no account owns the tag *)
 
 val pp_refusal : Format.formatter -> refusal -> unit
+(** Names the tag by {!Tag.name}, never by its id: the text is the 403
+    body {!Gateway} sends, and the id is a counter every platform in
+    the process shares. *)
+
 val refusal_to_string : refusal -> string
 
 val export :

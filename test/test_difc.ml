@@ -368,13 +368,6 @@ let test_capability_addable_droppable () =
   check bool_c "set equal" true
     (Capability.Set.equal o (Capability.Set.of_list (Capability.Set.to_list o)))
 
-let test_tag_of_id () =
-  let t = s_tag "ofid" in
-  (match Tag.of_id (Tag.id t) with
-  | Some t' -> check bool_c "roundtrip" true (Tag.equal t t')
-  | None -> Alcotest.fail "lost tag");
-  check bool_c "unknown id" true (Tag.of_id max_int = None)
-
 let suite =
   suite
   @ [
@@ -382,7 +375,6 @@ let suite =
       Alcotest.test_case "principal collections" `Quick test_principal_collections;
       Alcotest.test_case "capability addable/droppable" `Quick
         test_capability_addable_droppable;
-      Alcotest.test_case "tag of_id" `Quick test_tag_of_id;
     ]
 
 (* ---- flow misc ---- *)
@@ -471,68 +463,3 @@ let prop_label_compare_consistent =
 
 let suite = suite @ qsuite [ prop_label_compare_consistent ]
 
-(* ---- interning and the cache registry ---- *)
-
-let test_intern_identity () =
-  let a = s_tag "int.a" and b = s_tag "int.b" in
-  let l1 = Label.of_list [ a; b ] and l2 = Label.of_list [ b; a ] in
-  check bool_c "interned equality is physical" true
-    (Label.intern l1 == Label.intern l2);
-  check bool_c "ids agree" true (Label.interned_id l1 = Label.interned_id l2);
-  check bool_c "id positive" true (Label.interned_id l1 > 0);
-  check bool_c "distinct content, distinct id" false
-    (Label.interned_id (Label.singleton a) = Label.interned_id l1);
-  (* interning never changes the content *)
-  check bool_c "same content" true (Label.equal (Label.intern l1) l2)
-
-let snapshot_of name =
-  match
-    List.find_opt (fun s -> s.Memo.name = name) (Memo.snapshots ())
-  with
-  | Some s -> s
-  | None -> Alcotest.fail ("no memo cache named " ^ name)
-
-(* Interning short-circuits on a wrapper that already carries an id,
-   so each probe builds a fresh wrapper over the same tags. Fresh tags
-   keep the content unseen by earlier tests. *)
-let fresh_tags () = List.init 4 (fun i -> s_tag (Printf.sprintf "memo.%d" i))
-
-let test_memo_counters () =
-  check (Alcotest.list string_c) "the intern pool is the only cache"
-    [ "intern" ]
-    (List.map (fun s -> s.Memo.name) (Memo.snapshots ()));
-  let tags = fresh_tags () in
-  let before = snapshot_of "intern" in
-  ignore (Label.intern (Label.of_list tags));
-  let after_miss = snapshot_of "intern" in
-  check int_c "first probe misses" (before.Memo.misses + 1)
-    after_miss.Memo.misses;
-  ignore (Label.intern (Label.of_list tags));
-  ignore (Label.intern (Label.of_list tags));
-  let after_hits = snapshot_of "intern" in
-  check int_c "repeat probes hit" (after_miss.Memo.hits + 2)
-    after_hits.Memo.hits;
-  check int_c "no further misses" after_miss.Memo.misses
-    after_hits.Memo.misses
-
-let test_memo_reset_all () =
-  let tags = fresh_tags () in
-  let l1 = Label.intern (Label.of_list tags) in
-  Memo.reset_all ();
-  let s = snapshot_of "intern" in
-  check int_c "hits zeroed" 0 s.Memo.hits;
-  check int_c "misses zeroed" 0 s.Memo.misses;
-  check int_c "size zeroed" 0 s.Memo.size;
-  (* the pool only canonicalizes: re-interning after a flush yields
-     the same content *)
-  let l2 = Label.intern (Label.of_list tags) in
-  check bool_c "still sound" true (Label.equal l1 l2);
-  check bool_c "fresh canonical after the flush" true (l2 != l1)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "intern: physical equality" `Quick test_intern_identity;
-      Alcotest.test_case "memo hit/miss counters" `Quick test_memo_counters;
-      Alcotest.test_case "memo reset_all" `Quick test_memo_reset_all;
-    ]

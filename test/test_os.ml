@@ -498,6 +498,56 @@ let test_fs_snapshot_empty () =
   ok (Fs.restore_into fs image);
   check int_c "still empty" 0 (Fs.total_files fs)
 
+let test_fs_image_carries_tags () =
+  (* the image declares each tag it uses, so a fresh tree restores a
+     tag's kind, read-protection bit and name from the image alone *)
+  let st = Tag.fresh ~name:"img.secret" ~restricted:true Tag.Secrecy in
+  let it = Tag.fresh ~name:"img write" Tag.Integrity in
+  let fs = Fs.create () in
+  ok
+    (Fs.create_file fs "/f"
+       ~labels:(Flow.make ~secrecy:(Label.singleton st)
+                  ~integrity:(Label.singleton it) ())
+       ~data:"x");
+  let fresh = Fs.create () in
+  ok (Fs.restore_into fresh (Fs.snapshot fs));
+  let _, labels = ok (Fs.read fresh "/f") in
+  match (Label.to_list labels.Flow.secrecy, Label.to_list labels.Flow.integrity) with
+  | [ s ], [ i ] ->
+      check bool_c "secrecy tag" true (Tag.equal s st && Tag.kind s = Tag.Secrecy);
+      check bool_c "restricted kept" true (Tag.restricted s);
+      check string_c "secrecy name" "img.secret" (Tag.name s);
+      check bool_c "integrity tag" true
+        (Tag.equal i it && Tag.kind i = Tag.Integrity);
+      check bool_c "unrestricted kept" false (Tag.restricted i);
+      check string_c "integrity name" "img write" (Tag.name i)
+  | _ -> Alcotest.fail "labels lost"
+
+let test_fs_image_rejects_bad_tag_lines () =
+  let fs = Fs.create () in
+  List.iter
+    (fun image ->
+      match Fs.restore_into fs image with
+      | Error (Os_error.Invalid _) -> ()
+      | Ok () | Error _ -> Alcotest.failf "accepted %S" image)
+    [
+      "T 7 x 0 61\nD 2f 0 - - 0\n";
+      "T 7 s 2 61\nD 2f 0 - - 0\n";
+      "T seven s 0 61\nD 2f 0 - - 0\n";
+      "T 7 s 0 6\nD 2f 0 - - 0\n";
+      "T 7 s 0\nD 2f 0 - - 0\n";
+      "T 7 s 0 61\nT 7 i 0 62\nD 2f 0 7 - 0\n";
+    ]
+
+let test_fs_image_raises_tag_counter () =
+  let above = Tag.id (Tag.fresh Tag.Secrecy) + 1000 in
+  let fs = Fs.create () in
+  ok
+    (Fs.restore_into fs
+       (Printf.sprintf "T %d s 0 61\nD 2f 0 %d - 0\n" above above));
+  check bool_c "fresh ids pass the declared one" true
+    (Tag.id (Tag.fresh Tag.Secrecy) > above)
+
 let suite =
   suite
   @ [
@@ -505,6 +555,11 @@ let suite =
       Alcotest.test_case "fs snapshot rejects garbage" `Quick
         test_fs_snapshot_rejects_garbage;
       Alcotest.test_case "fs snapshot empty" `Quick test_fs_snapshot_empty;
+      Alcotest.test_case "fs image carries tags" `Quick test_fs_image_carries_tags;
+      Alcotest.test_case "fs image rejects bad tag lines" `Quick
+        test_fs_image_rejects_bad_tag_lines;
+      Alcotest.test_case "fs image raises tag counter" `Quick
+        test_fs_image_raises_tag_counter;
     ]
 
 (* ---- additional syscall edge cases ---- *)
@@ -1291,7 +1346,7 @@ let test_fs_more_edges () =
 let suite =
   suite @ [ Alcotest.test_case "fs more edges" `Quick test_fs_more_edges ]
 
-(* ---- audit batching and cache metrics ---- *)
+(* ---- audit batching ---- *)
 
 let test_audit_record_batch () =
   (* a batch lands every entry in order with sequence numbers and
@@ -1375,47 +1430,6 @@ let test_syscall_audit_batched () =
        (fun (e : Audit.entry) -> Audit.is_denial e)
        (Audit.entries (Kernel.audit kernel)))
 
-let test_cache_metrics_sync_and_canary () =
-  let kernel = Kernel.create () in
-  (* a secret-named tag flows through the judgments and the intern
-     pool... *)
-  let canary = "hunter2-canary-username" in
-  let tags =
-    Array.init 8 (fun i ->
-        Tag.fresh ~name:(Printf.sprintf "%s-%d" canary i) Tag.Secrecy)
-  in
-  let l1 = Label.of_list (Array.to_list (Array.sub tags 0 4)) in
-  let l2 = Label.of_list (Array.to_list (Array.sub tags 4 4)) in
-  ignore (Label.subset (Label.union l1 l2) (Label.union l1 l2));
-  ignore (Label.intern (Label.union l1 l2));
-  ignore
-    (Flow.can_flow (Flow.make ~secrecy:l1 ()) (Flow.make ~secrecy:l2 ()));
-  Kernel.sync_cache_metrics kernel;
-  let m = Kernel.metrics kernel in
-  let hits = W5_obs.Metrics.gauge m "w5_label_cache_hits_total" in
-  check bool_c "intern cache series present" true
-    (W5_obs.Metrics.value hits ~labels:[ ("cache", "intern") ] >= 0
-    && List.exists
-         (fun (s : W5_obs.Metrics.sample) ->
-           s.W5_obs.Metrics.sample_name = "w5_label_cache_hits_total"
-           && s.W5_obs.Metrics.sample_series <> [])
-         (W5_obs.Metrics.dump m));
-  (* ...and the exposed metrics carry cache names and counts only *)
-  let rendered =
-    W5_obs.Exposition.prometheus m ^ W5_obs.Exposition.json m
-  in
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec scan i =
-      i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1))
-    in
-    scan 0
-  in
-  check bool_c "cache metrics exposed" true
-    (contains ~needle:"w5_label_cache_hits_total" rendered);
-  check bool_c "no user bytes in metrics" false
-    (contains ~needle:canary rendered)
-
 let suite =
   suite
   @ [
@@ -1426,8 +1440,6 @@ let suite =
         test_with_audit_batch_flushes_on_raise;
       Alcotest.test_case "syscall audit batched" `Quick
         test_syscall_audit_batched;
-      Alcotest.test_case "cache metrics sync + canary" `Quick
-        test_cache_metrics_sync_and_canary;
     ]
 
 (* ---- kernel-local state ---- *)

@@ -1661,3 +1661,36 @@ let suite =
       Alcotest.test_case "handler leaves nothing queued" `Quick
         test_handler_leaves_nothing_queued;
     ]
+
+(* ---- refusal bodies ---- *)
+
+let stranger_403_body () =
+  let society =
+    W5_workload.Populate.build ~seed:5 ~users:3 ~friends_per_user:0
+      ~photos_per_user:0 ~blog_posts_per_user:0 ()
+  in
+  match society.W5_workload.Populate.users with
+  | owner :: stranger :: _ ->
+      let client = W5_workload.Populate.login society stranger in
+      let r = Client.get client "/app/core/social" ~params:[ ("user", owner) ] in
+      check int_c "stranger refused" 403 (Response.status_code r.Response.status);
+      r.Response.body
+  | _ -> Alcotest.fail "society too small"
+
+let test_refusal_body_independent_of_tag_ids () =
+  (* A 403 body must not depend on how many tags the process minted
+     before: the tag id is process-wide state, not the client's. *)
+  let first = stranger_403_body () in
+  for _ = 1 to 10_000 do
+    ignore (Tag.fresh Tag.Secrecy)
+  done;
+  let second = stranger_403_body () in
+  check string_c "byte-identical 403 bodies" first second;
+  check bool_c "no id in the body" false (String.contains first '#')
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "refusal body independent of tag ids" `Quick
+        test_refusal_body_independent_of_tag_ids;
+    ]
